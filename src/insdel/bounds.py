@@ -7,6 +7,7 @@ clique search over the pairwise compatibility graph.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -136,23 +137,26 @@ def field_size_threshold(n: int, k: int, delta: int) -> Fraction:
     rd, exact_d = _iroot(base.denominator, e)
     if exact_n and exact_d:
         return Fraction(rn, rd)
-    # Largest integer t with t^e <= base.
-    t = 1
-    while Fraction((t + 1) ** e) <= base:
-        t += 1
-    return Fraction(t)
+    # Largest integer t with t^e <= base, i.e. t^e <= floor(base); the
+    # floor stays 1 for base < 1 (k = 1).
+    t, _ = _iroot(base.numerator // base.denominator, e)
+    return Fraction(max(t, 1))
 
 
 def _iroot(x: int, e: int) -> tuple[int, bool]:
-    """Floor of the integer e-th root, with an exactness flag."""
+    """Floor of the integer e-th root, with an exactness flag.
+
+    Integer Newton iteration from a power of two above the root, so no
+    float conversion can overflow; the iterates decrease to the floor.
+    """
     if x < 2:
         return x, True
-    r = round(x ** (1.0 / e))
-    while r**e > x:
-        r -= 1
-    while (r + 1) ** e <= x:
-        r += 1
-    return r, r**e == x
+    r = 1 << -(-x.bit_length() // e)
+    while True:
+        s = ((e - 1) * r + x // r ** (e - 1)) // e
+        if s >= r:
+            return r, r**e == x
+        r = s
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +275,9 @@ def verify_support_structure(code: Code, k: int):
         support = tuple(i for i, s in enumerate(w.symbols) if s != 0)
         if len(support) == target:
             counts[support] = counts.get(support, 0) + 1
-    import itertools as _it
-
     ok = True
     full_counts = {}
-    for supp in _it.combinations(range(n), target):
+    for supp in itertools.combinations(range(n), target):
         c = counts.get(supp, 0)
         full_counts[supp] = c
         if c != q - 1:

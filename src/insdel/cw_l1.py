@@ -23,7 +23,7 @@ from .gf import (
     is_prime,
     unit_group_size,
 )
-from .words import CWL1, Code, Composition, compositions_colex, l1_distance
+from .words import CWL1, L1, Code, Composition, code_min_distance, compositions_colex
 
 ENUMERATION_CAP = 10**7
 
@@ -173,7 +173,7 @@ def construct_l1(spec: L1ConstructionSpec) -> tuple[Code, dict]:
     members = tuple(buckets[best_code])
     code = Code(spec.q, spec.n, members, kind=CWL1)
     if len(members) >= 2:
-        verified_min, _ = _min_l1(members)
+        verified_min, _ = code_min_distance(code, L1)
     else:
         verified_min = None
     report = {
@@ -189,18 +189,6 @@ def construct_l1(spec: L1ConstructionSpec) -> tuple[Code, dict]:
     return code, report
 
 
-def _min_l1(members):
-    best = None
-    witness = None
-    ordered = sorted(members)
-    for i, u in enumerate(ordered):
-        for v in ordered[i + 1 :]:
-            d = l1_distance(u, v)
-            if best is None or d < best:
-                best, witness = d, (u, v)
-    return best, witness
-
-
 def verify_l1_code(code: Code, delta: int):
     """True iff all members share one weight and every pair is at L1
     distance >= 2*delta; returns a violating pair otherwise."""
@@ -208,7 +196,7 @@ def verify_l1_code(code: Code, delta: int):
         raise DomainError("expected a CWL1 code")
     if len(code) < 2:
         return True, None
-    best, witness = _min_l1(code.members)
+    best, witness = code_min_distance(code, L1)
     if best < 2 * delta:
         return False, witness
     return True, None

@@ -576,6 +576,3 @@ class UnitResidue:
             e >>= 1
         return result
 
-
-def unit_reduce(g: Polynomial, rctx: ResidueCtx) -> UnitResidue:
-    return rctx.reduce(g)

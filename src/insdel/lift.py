@@ -13,8 +13,17 @@ PAIR_CAP_ENV = "INSDEL_MAX_PAIRS"
 
 
 def pair_cap() -> int:
+    """The verification pair cap: INSDEL_MAX_PAIRS if set, else the default."""
     raw = os.environ.get(PAIR_CAP_ENV)
-    return int(raw) if raw else DEFAULT_PAIR_CAP
+    if not raw:
+        return DEFAULT_PAIR_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise DomainError(f"{PAIR_CAP_ENV} must be an integer, got {raw!r}") from None
+    if cap < 0:
+        raise DomainError(f"{PAIR_CAP_ENV} must be >= 0, got {cap}")
+    return cap
 
 
 def lift(code: Code, max_pairs: int | None = None) -> tuple[Code, dict]:

@@ -204,26 +204,59 @@ def _all_messages(ctx: FieldCtx, k: int):
         yield coeffs
 
 
+def _is_orbit_representative(coeffs) -> bool:
+    """True for zero and for the messages with zero constant term whose
+    lowest-degree nonzero non-constant coefficient is 1: the message of
+    least index in each orbit of f -> a*f + c (a != 0)."""
+    if coeffs[0]:
+        return False
+    lead = next((c for c in coeffs[1:] if c), 1)
+    return lead == 1
+
+
 def rs_exhaustive_insdel(code: RsCode, cap: int = EXHAUSTIVE_CAP):
-    """Exact minimum insdel distance over all distinct codeword pairs."""
+    """Exact minimum insdel distance over all distinct codeword pairs.
+
+    Messages are indexed in ``itertools.product`` order of their low-first
+    coefficient tuples, and the witness is the minimising pair (i, j),
+    i < j, that comes first lexicographically.
+
+    Relabelling symbols by y -> a*y + c (a != 0) sends the codewords of f
+    and g to those of a*f + c and a*g + c at the same insdel distance, so
+    the minimising pairs form a union of orbits of that group. Every
+    message shares an orbit with exactly one representative (see
+    ``_is_orbit_representative``), so pairing each representative with
+    every other message reaches every orbit of pairs:
+    (1 + (q^(k-1) - 1)/(q - 1)) * (q^k - 1) pairs instead of q^k(q^k - 1)/2,
+    about 2q^2 for k = 2.
+
+    Pairs are swept representative by representative, partners in index
+    order, and the first minimiser met is the witness; it is the first
+    witness of the full sweep. The messages occurring in minimising pairs
+    form a union of orbits, and the least message of an orbit is its
+    representative: the constant term weighs most in the index order, then
+    the coefficients by increasing degree. So the least such message i is
+    a representative, no earlier representative has a minimising partner,
+    and every partner of i lies above i.
+    """
     count = code.ctx.q**code.k
     if count > cap:
         raise ScaleCapExceeded(f"{count} codewords exceed the sweep cap {cap}")
     ctx = code.ctx
-    words = [
-        _encode_coeffs(ctx, code.alphas, coeffs)
-        for coeffs in _all_messages(ctx, code.k)
-    ]
+    messages = list(_all_messages(ctx, code.k))
+    words = [_encode_coeffs(ctx, code.alphas, coeffs) for coeffs in messages]
     n2 = 2 * code.n
     best = None
     witness = None
-    for idx, u in enumerate(words):
-        for v in words[idx + 1 :]:
-            d = n2 - 2 * lcs_length_raw(u, v)
-            if best is None or d < best:
-                best, witness = d, (u, v)
-                if best == 0:
-                    return best, witness
+    for r, coeffs in enumerate(messages):
+        if not _is_orbit_representative(coeffs):
+            continue
+        u = words[r]
+        for g, v in enumerate(words):
+            if g != r:
+                d = n2 - 2 * lcs_length_raw(u, v)
+                if best is None or d < best:
+                    best, witness = d, (u, v)
     return best, witness
 
 

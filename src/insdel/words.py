@@ -82,29 +82,39 @@ def _check_alphabet(u: Word, v: Word) -> None:
 
 
 def lcs_length(u: Word, v: Word) -> int:
-    """Length of a longest common subsequence, two-row dynamic program."""
+    """Length of a longest common subsequence."""
     _check_alphabet(u, v)
     return lcs_length_raw(u.symbols, v.symbols)
 
 
 def lcs_length_raw(a, b) -> int:
-    """LCS length of two plain sequences (no validation, hot path)."""
+    """LCS length of two plain sequences (no validation, hot path).
+
+    Bit-parallel form of the two-row dynamic program (Allison & Dix 1986;
+    Hyyro 2004, "Bit-parallel LCS-length computation revisited"). Bit j of
+    the big int ``v`` is 0 exactly where the DP row steps up between
+    columns j and j+1 of the shorter word, so one add/and/or step per
+    symbol of the longer word advances the whole row and the LCS length is
+    the number of 0 bits among the low len(b) bits. Carries only move
+    upwards, so bits above len(b) never disturb the low ones and are
+    masked off once at the end.
+    """
     if len(a) < len(b):
         a, b = b, a
     if not b:
         return 0
-    prev = [0] * (len(b) + 1)
-    cur = [0] * (len(b) + 1)
+    masks: dict = {}
+    bit = 1
+    for y in b:
+        masks[y] = masks.get(y, 0) | bit
+        bit <<= 1
+    v = bit - 1
     for x in a:
-        for j, y in enumerate(b):
-            if x == y:
-                cur[j + 1] = prev[j] + 1
-            else:
-                pj = prev[j + 1]
-                cj = cur[j]
-                cur[j + 1] = pj if pj >= cj else cj
-        prev, cur = cur, prev
-    return prev[len(b)]
+        m = masks.get(x)
+        if m:
+            u = v & m
+            v = (v + u) | (v - u)
+    return len(b) - (v & (bit - 1)).bit_count()
 
 
 def insdel_distance(u: Word, v: Word) -> int:

@@ -1,9 +1,11 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 from insdel.bounds import (
+    _iroot,
     counterexample_code,
     distance_drop_threshold,
     exact_iq,
@@ -108,6 +110,23 @@ class TestFieldSizeThreshold:
             values = [field_size_threshold(n, k, d) for d in range(2, 6)]
             if values[0] > 1:
                 assert all(a >= b for a, b in zip(values, values[1:]))
+
+    def test_huge_base_takes_integer_root(self):
+        # The base here has over 2000 bits, past the float range.
+        base = Fraction(3401**299, 2 * math.factorial(299))
+        t = field_size_threshold(4000, 300, 3)
+        assert t.denominator == 1
+        assert t.numerator**2 <= base < (t.numerator + 1) ** 2
+
+    def test_integer_root_exact_powers(self):
+        for e in range(2, 7):
+            for r in (2, 3, 10, 2**40 + 1, 3**50):
+                assert _iroot(r**e, e) == (r, True)
+                assert _iroot(r**e - 1, e) == (r - 1, False)
+                assert _iroot(r**e + 1, e) == (r, False)
+        assert _iroot(12345, 1) == (12345, True)
+        assert _iroot(0, 3) == (0, True)
+        assert _iroot(1 << 5000, 2) == (1 << 2500, True)
 
     def test_threshold_implies_inequality(self):
         # Field sizes at or below the threshold satisfy the case-split

@@ -209,6 +209,21 @@ class TestCliPipelines:
         )
         assert result.returncode == 2
 
+    def test_lift_malformed_env_cap_is_one(self, tmp_path):
+        src = tmp_path / "l1.txt"
+        run_cli("construct-l1", "--q", "2", "--n", "4", "--delta", "2", "--out", str(src))
+        result = run_cli(
+            "lift",
+            "--in",
+            str(src),
+            "--out",
+            str(tmp_path / "x.txt"),
+            env={"INSDEL_MAX_PAIRS": "abc"},
+        )
+        assert result.returncode == 1
+        assert result.stderr.count("\n") == 1
+        assert "INSDEL_MAX_PAIRS" in result.stderr
+
     def test_code_distance_on_emitted_file(self, tmp_path):
         path = tmp_path / "cx.txt"
         run_cli("counterexample", "--q", "5", "--n", "4", "--out", str(path))

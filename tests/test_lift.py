@@ -57,6 +57,12 @@ class TestLift:
         monkeypatch.delenv("INSDEL_MAX_PAIRS")
         assert pair_cap() == 10**7
 
+    @pytest.mark.parametrize("raw", ["abc", "1e3", "-1"])
+    def test_env_cap_rejects_malformed(self, monkeypatch, raw):
+        monkeypatch.setenv("INSDEL_MAX_PAIRS", raw)
+        with pytest.raises(DomainError, match="INSDEL_MAX_PAIRS"):
+            pair_cap()
+
 
 class TestGuaranteeReport:
     def test_reference_values(self):

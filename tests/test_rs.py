@@ -3,10 +3,12 @@ import random
 
 import pytest
 
+from insdel import rs as rs_module
 from insdel.errors import DomainError, ScaleCapExceeded
-from insdel.gf import Matrix, Polynomial, det, field_make
+from insdel.gf import Matrix, Polynomial, det, field_from_size, field_make
 from insdel.rs import (
     ALL_FIXED,
+    EXHAUSTIVE_CAP,
     AffineMap,
     RsCode,
     affine_apply,
@@ -20,7 +22,7 @@ from insdel.rs import (
     rs_encode,
     rs_exhaustive_insdel,
 )
-from insdel.words import insdel_distance_raw
+from insdel.words import insdel_distance_raw, lcs_length_raw
 
 
 class TestAffineMaps:
@@ -126,6 +128,62 @@ class TestRs2Criterion:
         code = RsCode(field_make(101), tuple(range(4)), 2)
         with pytest.raises(ScaleCapExceeded):
             rs_exhaustive_insdel(code, cap=100)
+
+    def test_cap_counts_all_codewords(self):
+        # The cap bounds q^k, the size of the whole code, although only
+        # orbit representatives are swept.
+        code = RsCode(field_make(7), tuple(range(4)), 2)
+        assert rs_exhaustive_insdel(code, cap=49)[0] == rs_exhaustive_insdel(code)[0]
+        with pytest.raises(ScaleCapExceeded, match="49 codewords"):
+            rs_exhaustive_insdel(code, cap=48)
+        assert EXHAUSTIVE_CAP == 10**4
+        with pytest.raises(ScaleCapExceeded, match="10201 codewords"):
+            rs_exhaustive_insdel(RsCode(field_make(101), tuple(range(4)), 2))
+        assert rs_exhaustive_insdel(RsCode(field_make(97), tuple(range(4)), 2))[0] >= 2
+
+
+def _full_sweep(code):
+    """Every unordered pair of codewords, messages in product order: the
+    reference for the orbit-quotient sweep."""
+    ctx = code.ctx
+    words = [
+        tuple(Polynomial(ctx, coeffs)(a) for a in code.alphas)
+        for coeffs in itertools.product(range(ctx.q), repeat=code.k)
+    ]
+    best = witness = None
+    for idx, u in enumerate(words):
+        for v in words[idx + 1 :]:
+            d = 2 * code.n - 2 * lcs_length_raw(u, v)
+            if best is None or d < best:
+                best, witness = d, (u, v)
+    return best, witness
+
+
+class TestExhaustiveSweep:
+    @pytest.mark.parametrize(
+        "q, k",
+        [(7, 1), (8, 1), (5, 2), (7, 2), (13, 2), (4, 2), (8, 2), (9, 2), (16, 2), (4, 3), (5, 3)],
+    )
+    def test_matches_full_sweep(self, q, k):
+        ctx = field_from_size(q)
+        rng = random.Random(q * 10 + k)
+        for n in range(k, min(q, 6) + 1):
+            for _ in range(2):
+                code = RsCode(ctx, tuple(rng.sample(range(q), n)), k)
+                assert rs_exhaustive_insdel(code) == _full_sweep(code), code.alphas
+
+    @pytest.mark.parametrize("q, k", [(7, 1), (7, 2), (4, 3)])
+    def test_sweeps_one_representative_per_orbit(self, q, k, monkeypatch):
+        calls = []
+
+        def counting_lcs(a, b):
+            calls.append(1)
+            return lcs_length_raw(a, b)
+
+        monkeypatch.setattr(rs_module, "lcs_length_raw", counting_lcs)
+        rs_exhaustive_insdel(RsCode(field_from_size(q), tuple(range(k + 1)), k))
+        reps = 1 + (q ** (k - 1) - 1) // (q - 1)
+        assert len(calls) == reps * (q**k - 1)
 
 
 class TestGreedyConstruction:

@@ -19,6 +19,7 @@ from insdel.words import (
     insdel_distance,
     l1_distance,
     lcs_length,
+    lcs_length_raw,
     phi,
     psi,
 )
@@ -73,6 +74,33 @@ class TestLcsAndDistance:
             for b in itertools.product(range(2), repeat=4):
                 u, v = Word(2, a), Word(2, b)
                 assert lcs_length(u, v) == lcs_by_enumeration(u, v)
+
+    @given(
+        st.integers(2, 300).flatmap(
+            lambda q: st.tuples(
+                *(
+                    st.integers(0, 100)
+                    .flatmap(lambda n: st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+                    .map(lambda s: Word(q, tuple(s)))
+                    for _ in range(2)
+                )
+            )
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_lcs_raw_matches_edit_graph_oracle(self, pair):
+        # Empty words, unequal lengths, large alphabets and words longer
+        # than 64 symbols (bit-parallel state past one machine word).
+        u, v = pair
+        d = edit_graph_distance(u, v)
+        assert lcs_length_raw(u.symbols, v.symbols) == (len(u) + len(v) - d) // 2
+
+    def test_lcs_raw_long_words(self):
+        u = Word(3, tuple(i % 3 for i in range(150)))
+        v = Word(3, tuple((i * 7) % 3 for i in range(97)))
+        d = edit_graph_distance(u, v)
+        assert lcs_length_raw(u.symbols, v.symbols) == (len(u) + len(v) - d) // 2
+        assert lcs_length_raw(u.symbols, ()) == 0
 
     @given(word_pairs())
     @settings(max_examples=200, deadline=None)
