@@ -40,7 +40,6 @@ from .gf import (
     is_prime,
     next_prime,
     nullspace,
-    poly_eval,
     poly_gcd,
     unit_group_size,
 )

@@ -137,10 +137,10 @@ def field_size_threshold(n: int, k: int, delta: int) -> Fraction:
     rd, exact_d = _iroot(base.denominator, e)
     if exact_n and exact_d:
         return Fraction(rn, rd)
-    # Largest integer t with t^e <= base, i.e. t^e <= floor(base); the
-    # floor stays 1 for base < 1 (k = 1).
+    # Largest integer t with t^e <= base, i.e. t^e <= floor(base); 0 for
+    # base < 1 (k = 1).
     t, _ = _iroot(base.numerator // base.denominator, e)
-    return Fraction(max(t, 1))
+    return Fraction(t)
 
 
 def _iroot(x: int, e: int) -> tuple[int, bool]:

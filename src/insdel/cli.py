@@ -58,12 +58,18 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
+def _thread_count(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _base_parser(name: str) -> _Parser:
     p = _Parser(prog=f"insdel {name}", add_help=True)
     p.add_argument("--json", action="store_true", help="emit one JSON document")
     p.add_argument(
         "--threads",
-        type=int,
+        type=_thread_count,
         default=1,
         help="worker cap for sweeps; results are independent of it",
     )

@@ -70,4 +70,7 @@ def dump(code: Code, path) -> None:
 
 def load(path) -> Code:
     with io.open(path, "r", encoding="ascii") as fh:
-        return loads(fh.read())
+        try:
+            return loads(fh.read())
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{path}: non-ASCII byte at offset {exc.start}") from exc

@@ -127,19 +127,29 @@ class L1ConstructionSpec:
         return -(-total // self.unit_count())
 
 
+def _unit_map(spec: L1ConstructionSpec):
+    """counts -> prod_i (x - alpha_i)^(counts_i) in the ring of spec; the q
+    linear factors are reduced once, here."""
+    rctx = spec.residue_ctx()
+    fctx = spec.field_ctx()
+    factors = [rctx.reduce(Polynomial(fctx, (fctx.neg(ai), 1))) for ai in spec.alphas]
+
+    def product(counts) -> UnitResidue:
+        result = rctx.one()
+        for f, count in zip(factors, counts):
+            if count:
+                result = result * f**count
+        return result
+
+    return product
+
+
 def pi_map(a: Composition, spec: L1ConstructionSpec) -> UnitResidue:
     """Residue of prod_i (x - alpha_i)^(a_i); a unit since no alpha_i
     equals alpha."""
     if a.q != spec.q or a.weight != spec.n:
         raise DomainError(f"composition {a.counts} does not match the construction parameters")
-    rctx = spec.residue_ctx()
-    fctx = spec.field_ctx()
-    result = rctx.one()
-    for ai, count in zip(spec.alphas, a.counts):
-        if count:
-            lin = rctx.reduce(Polynomial(fctx, (fctx.neg(ai), 1)))
-            result = result * lin**count
-    return result
+    return _unit_map(spec)(a.counts)
 
 
 def construct_l1(spec: L1ConstructionSpec) -> tuple[Code, dict]:
@@ -154,19 +164,10 @@ def construct_l1(spec: L1ConstructionSpec) -> tuple[Code, dict]:
         raise ScaleCapExceeded(
             f"{total} compositions exceed the enumeration cap {ENUMERATION_CAP}"
         )
-    rctx = spec.residue_ctx()
-    fctx = spec.field_ctx()
-    # Residues of the q linear factors, reused across the whole sweep.
-    factors = [
-        rctx.reduce(Polynomial(fctx, (fctx.neg(ai), 1))) for ai in spec.alphas
-    ]
+    unit_of = _unit_map(spec)
     buckets: dict[int, list[Composition]] = {}
     for comp in compositions_colex(spec.n, spec.q):
-        res = rctx.one()
-        for f, count in zip(factors, comp.counts):
-            if count:
-                res = res * f**count
-        buckets.setdefault(res.code, []).append(comp)
+        buckets.setdefault(unit_of(comp.counts).code, []).append(comp)
     best_code = min(
         buckets, key=lambda c: (-len(buckets[c]), c)
     )

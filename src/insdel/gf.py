@@ -325,11 +325,6 @@ class Polynomial:
         return acc
 
 
-def poly_eval(f: Polynomial, x: int) -> int:
-    """Horner evaluation of f at the element with code x."""
-    return f(x)
-
-
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd by the Euclidean algorithm."""
     while not b.is_zero():
@@ -483,8 +478,9 @@ def unit_group_size(r: int, delta: int) -> int:
 
 @dataclass(frozen=True)
 class ResidueCtx:
-    """Residue ring F[x]/(modulus) with a canonical integer encoding of
-    representatives (base-q coefficient vector, low degree first)."""
+    """Residue ring F_p[x]/(modulus) over a prime field, monic modulus, with
+    a canonical integer encoding of representatives (base-p coefficient
+    vector, low degree first)."""
 
     field: FieldCtx
     modulus: Polynomial
@@ -492,6 +488,8 @@ class ResidueCtx:
     def __post_init__(self) -> None:
         if self.modulus.ctx != self.field:
             raise ContextMismatch("modulus from a different field")
+        if self.field.m != 1 or self.modulus.coeffs[-1:] != (1,):
+            raise DomainError("residue rings need a prime field and a monic modulus")
         if self.modulus.degree < 1:
             raise DomainError("modulus must have degree >= 1")
 
@@ -528,20 +526,14 @@ class ResidueCtx:
         return UnitResidue(self, coeffs)
 
     def one(self) -> "UnitResidue":
-        return self.reduce(Polynomial(self.field, (1,)))
+        return UnitResidue(self, (1,) + (0,) * (self.degree - 1))
 
     def units(self):
         """All units, ascending canonical code. Exhaustive; desk scale only."""
-        q = self.field.q
-        for code in range(q**self.degree):
-            coeffs = []
-            c = code
-            for _ in range(self.degree):
-                coeffs.append(c % q)
-                c //= q
-            poly = Polynomial(self.field, tuple(coeffs))
-            if poly_gcd(poly, self.modulus).coeffs == (1,):
-                yield UnitResidue(self, tuple(coeffs))
+        for digits in itertools.product(range(self.field.q), repeat=self.degree):
+            coeffs = digits[::-1]
+            if poly_gcd(Polynomial(self.field, coeffs), self.modulus).coeffs == (1,):
+                yield UnitResidue(self, coeffs)
 
 
 @dataclass(frozen=True)
@@ -556,13 +548,12 @@ class UnitResidue:
         return self.rctx.encode(self.coeffs)
 
     def __mul__(self, other: "UnitResidue") -> "UnitResidue":
-        if self.rctx != other.rctx:
+        rctx = self.rctx
+        if rctx is not other.rctx and rctx != other.rctx:
             raise ContextMismatch("residues from different rings")
-        a = Polynomial(self.rctx.field, self.coeffs)
-        b = Polynomial(self.rctx.field, other.coeffs)
-        rep = (a * b) % self.rctx.modulus
-        coeffs = rep.coeffs + (0,) * (self.rctx.degree - len(rep.coeffs))
-        return UnitResidue(self.rctx, coeffs)
+        p = rctx.field.p
+        prod = _poly_mul_modp(self.coeffs, other.coeffs, p)
+        return UnitResidue(rctx, tuple(_poly_mod_modp(prod, rctx.modulus.coeffs, p)))
 
     def __pow__(self, e: int) -> "UnitResidue":
         if e < 0:
@@ -575,4 +566,3 @@ class UnitResidue:
             base = base * base
             e >>= 1
         return result
-

@@ -106,10 +106,14 @@ class TestFieldSizeThreshold:
         assert field_size_threshold(10, 5, 2) == Fraction(2 ** ((10 + 5 + 4) // 2))
 
     def test_monotone_in_delta(self):
-        for n, k in [(20, 3), (30, 4), (16, 2)]:
+        for n, k in [(20, 3), (30, 4), (16, 2), (5, 1), (20, 1)]:
             values = [field_size_threshold(n, k, d) for d in range(2, 6)]
-            if values[0] > 1:
-                assert all(a >= b for a, b in zip(values, values[1:]))
+            assert all(a >= b for a, b in zip(values, values[1:]))
+
+    def test_rate_one_floor_is_zero(self):
+        # Base 1/2 for k = 1: its real root lies in (0, 1), so the floor is 0.
+        assert field_size_threshold(5, 1, 2) == Fraction(1, 2)
+        assert field_size_threshold(5, 1, 3) == 0
 
     def test_huge_base_takes_integer_root(self):
         # The base here has over 2000 bits, past the float range.

@@ -179,6 +179,13 @@ class TestCliJson:
         ).stdout
         assert base == threaded
 
+    @pytest.mark.parametrize("value", ["-3", "0"])
+    def test_threads_below_one_rejected(self, value):
+        result = run_cli("bounds", "--q", "2", "--n", "4", "--d", "4", "--threads", value)
+        assert result.returncode == 1
+        assert result.stderr.count("\n") == 1
+        assert "--threads" in result.stderr
+
 
 class TestCliPipelines:
     def test_lift_round_trip(self, tmp_path):
@@ -231,6 +238,14 @@ class TestCliPipelines:
         doc = json.loads(result.stdout)
         assert doc["min_distance"] == 6
         assert doc["metric"] == "INSDEL"
+
+    def test_code_distance_non_ascii_file_is_one(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"INSDEL 2 2 1\n0 \xff\n")
+        result = run_cli("code-distance", "--in", str(path))
+        assert result.returncode == 1
+        assert result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stderr
 
     def test_selftest_passes(self):
         result = run_cli("selftest")

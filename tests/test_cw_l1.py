@@ -13,7 +13,16 @@ from insdel.cw_l1 import (
     verify_l1_code,
 )
 from insdel.errors import DomainError, ScaleCapExceeded
-from insdel.words import CWL1, Code, Composition, compositions_colex, l1_distance
+from insdel.gf import Polynomial, field_make
+from insdel.words import (
+    CWL1,
+    L1,
+    Code,
+    Composition,
+    code_min_distance,
+    compositions_colex,
+    l1_distance,
+)
 
 
 class TestConstructionPrime:
@@ -130,6 +139,73 @@ class TestConstruction:
         second, r2 = construct_l1(spec)
         assert first.members == second.members
         assert r1 == r2
+
+
+def _reference_construct(spec):
+    """The bucketing loop with every unit product taken as a Polynomial
+    product reduced by Polynomial division."""
+    rctx = spec.residue_ctx()
+    fctx = spec.field_ctx()
+    factors = [Polynomial(fctx, (fctx.neg(ai), 1)) % rctx.modulus for ai in spec.alphas]
+    buckets = {}
+    for comp in compositions_colex(spec.n, spec.q):
+        res = Polynomial(fctx, (1,))
+        for f, count in zip(factors, comp.counts):
+            for _ in range(count):
+                res = (res * f) % rctx.modulus
+        padded = res.coeffs + (0,) * (rctx.degree - len(res.coeffs))
+        buckets.setdefault(rctx.encode(padded), []).append(comp)
+    best_code = min(buckets, key=lambda c: (-len(buckets[c]), c))
+    members = tuple(buckets[best_code])
+    code = Code(spec.q, spec.n, members, kind=CWL1)
+    report = {
+        "q": spec.q,
+        "n": spec.n,
+        "delta": spec.delta,
+        "r": spec.r,
+        "bucket_unit": best_code,
+        "size": len(members),
+        "guaranteed_lower_bound": spec.guaranteed_lower_bound(),
+        "verified_min_l1": code_min_distance(code, L1)[0] if len(members) >= 2 else None,
+    }
+    return members, report
+
+
+REFERENCE_GRID = [
+    L1ConstructionSpec(q=2, n=5, delta=2),
+    L1ConstructionSpec(q=3, n=6, delta=3),
+    L1ConstructionSpec(q=3, n=6, delta=3, alpha=2),
+    L1ConstructionSpec(q=4, n=7, delta=3, alpha=1),
+    L1ConstructionSpec(q=3, n=7, delta=4),
+    L1ConstructionSpec(q=4, n=6, delta=5, alpha=3),
+    L1ConstructionSpec(q=5, n=6, delta=3, r=11, alpha=7),
+    L1ConstructionSpec(
+        q=3, n=5, delta=3, r=3, alphas=(0, 1, 2), irreducible_modulus=(1, 0, 1)
+    ),
+    L1ConstructionSpec(
+        q=5, n=6, delta=4, r=5, irreducible_modulus=field_make(5, 3).modulus
+    ),
+]
+
+
+def _spec_id(spec):
+    ring = "irr" if spec.irreducible_modulus else f"a{spec.alpha}"
+    return f"q{spec.q}-n{spec.n}-d{spec.delta}-r{spec.r}-{ring}"
+
+
+class TestAgainstPolynomialReference:
+    @pytest.mark.parametrize("spec", REFERENCE_GRID, ids=_spec_id)
+    def test_construct_matches_reference(self, spec):
+        code, report = construct_l1(spec)
+        members, expected = _reference_construct(spec)
+        assert report == expected
+        assert code.members == members
+
+    @pytest.mark.parametrize("spec", REFERENCE_GRID[-2:], ids=_spec_id)
+    def test_pi_map_matches_bucket_codes(self, spec):
+        code, report = construct_l1(spec)
+        for comp in code.members:
+            assert pi_map(comp, spec).code == report["bucket_unit"]
 
 
 class TestExpertModulus:

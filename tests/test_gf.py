@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from insdel.errors import DomainError, NonUnitError, ScaleCapExceeded
+from insdel.errors import ContextMismatch, DomainError, NonUnitError, ScaleCapExceeded
 from insdel.gf import (
     Matrix,
     Polynomial,
     ResidueCtx,
+    UnitResidue,
     det,
     field_from_size,
     field_make,
@@ -163,3 +164,73 @@ class TestResidueRing:
         u = ctx.reduce(Polynomial(field_make(5), (4, 1)))  # x - 1
         order = unit_group_size(5, 3)
         assert (u**order).code == ctx.one().code
+
+    def test_rejects_extension_fields(self):
+        gf4 = field_make(2, 2)
+        with pytest.raises(DomainError):
+            ResidueCtx.linear_power(gf4, 1, 3)
+        with pytest.raises(DomainError):
+            ResidueCtx(gf4, Polynomial(gf4, (1, 1)))
+
+    def test_rejects_non_monic_modulus(self):
+        f5 = field_make(5)
+        with pytest.raises(DomainError):
+            ResidueCtx(f5, Polynomial(f5, (1, 0, 2)))
+
+
+def _reference_product(rctx, a, b):
+    """(A * B) % modulus by Polynomial arithmetic, padded to the degree."""
+    rep = (Polynomial(rctx.field, a) * Polynomial(rctx.field, b)) % rctx.modulus
+    return rep.coeffs + (0,) * (rctx.degree - len(rep.coeffs))
+
+
+@st.composite
+def ring_elements(draw):
+    """A ring over a prime r <= 13 and two reduced representatives in it."""
+    r = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    field = field_make(r)
+    if draw(st.booleans()):
+        rctx = ResidueCtx.linear_power(
+            field, draw(st.integers(0, r - 1)), draw(st.integers(2, 5))
+        )
+    else:
+        # The modulus of GF(r^m) is a monic irreducible of degree m.
+        modulus = field_make(r, draw(st.integers(2, 4))).modulus
+        rctx = ResidueCtx(field, Polynomial(field, modulus))
+    element = st.tuples(*[st.integers(0, r - 1)] * rctx.degree)
+    return rctx, draw(element), draw(element)
+
+
+class TestUnitArithmetic:
+    @given(ring_elements())
+    @settings(max_examples=300, deadline=None)
+    def test_mul_matches_polynomial_reference(self, case):
+        rctx, a, b = case
+        product = UnitResidue(rctx, a) * UnitResidue(rctx, b)
+        assert product.coeffs == _reference_product(rctx, a, b)
+
+    @given(ring_elements(), st.integers(0, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_pow_matches_repeated_reference(self, case, e):
+        rctx, a, _ = case
+        one = _reference_product(rctx, (1,), (1,))
+        assert rctx.one().coeffs == one
+        expected = one
+        for _ in range(e):
+            expected = _reference_product(rctx, expected, a)
+        assert (UnitResidue(rctx, a) ** e).coeffs == expected
+
+    def test_mul_accepts_equal_rings(self):
+        f5 = field_make(5)
+        first = ResidueCtx.linear_power(f5, 0, 3)
+        second = ResidueCtx.linear_power(f5, 0, 3)
+        assert first is not second
+        product = UnitResidue(first, (2, 1)) * UnitResidue(second, (3, 4))
+        assert product.coeffs == _reference_product(first, (2, 1), (3, 4))
+
+    def test_mul_rejects_other_rings(self):
+        f5 = field_make(5)
+        u = ResidueCtx.linear_power(f5, 0, 3).one()
+        v = ResidueCtx.linear_power(f5, 1, 3).one()
+        with pytest.raises(ContextMismatch):
+            u * v
