@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
 from fractions import Fraction
 
@@ -169,7 +170,8 @@ def exact_iq(q: int, n: int, d: int, max_seconds: float | None = None):
 
     Vertices are the words of [q]^n in lexicographic order; edges join
     pairs at distance >= d. Branch-and-bound with a greedy-coloring upper
-    bound, deterministic throughout.
+    bound, deterministic throughout. ``max_seconds`` bounds both phases
+    of the clique search together (``ScaleCapExceeded`` past it).
     """
     _check_even_d(q, n, d)
     nverts = q**n
@@ -183,14 +185,57 @@ def exact_iq(q: int, n: int, d: int, max_seconds: float | None = None):
             if insdel_distance_raw(wi, words[j]) >= d:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    size, clique = _max_clique(adj, nverts, max_seconds)
+    deadline = None if max_seconds is None else time.monotonic() + max_seconds
+    size, clique = _first_max_clique(adj, deadline)
     code = Code(q, n, tuple(Word(q, words[v]) for v in sorted(clique)))
     return size, code
 
 
-def _max_clique(adj: list[int], nverts: int, max_seconds: float | None):
-    deadline = time.monotonic() + max_seconds if max_seconds else None
-    best_size = 0
+def _first_max_clique(adj: list[int], deadline: float | None):
+    """The first maximum clique that ``_max_clique`` meets on ``adj``.
+
+    The size omega is proven on a copy relabelled in non-increasing degree
+    order (ties by index), where the colouring bound is much tighter
+    (Tomita & Seki, MCQ). The search on the original labels is then
+    replayed with the incumbent seeded to omega - 1 and stops at the first
+    omega-clique. Before that clique the unseeded search's incumbent is
+    below omega, so the replay prunes at least as much and visits a subset
+    of its nodes in the same order; every node on the path to the clique
+    has a colouring bound >= omega and survives. So the replay returns the
+    clique the unseeded search would.
+    """
+    if not adj:
+        return 0, []
+    order = sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v))
+    omega, _ = _max_clique(_relabel(adj, order), deadline)
+    return _max_clique(adj, deadline, omega - 1, omega)
+
+
+def _relabel(adj: list[int], order: list[int]) -> list[int]:
+    """Adjacency bitsets of the graph with vertex ``order[i]`` renamed ``i``.
+
+    Each row is permuted as a string of binary digits (most significant
+    first), so the work per row runs in C rather than once per edge.
+    """
+    width = len(adj)
+    pick = operator.itemgetter(*(width - 1 - v for v in reversed(order)))
+    return [int("".join(pick(format(adj[v], f"0{width}b"))), 2) for v in order]
+
+
+def _max_clique(
+    adj: list[int],
+    deadline: float | None,
+    best_size: int = 0,
+    stop_size: int | None = None,
+):
+    """Branch-and-bound maximum clique larger than ``best_size``.
+
+    Returns ``(size, clique)``, with ``(best_size, [])`` when no larger
+    clique exists; stops at the first clique of ``stop_size``. An explicit
+    stack of frames ``[order, colors, next index, candidates]`` replaces
+    one recursion level per clique vertex, visiting nodes in the same
+    order, so cliques of any size up to the vertex cap fit.
+    """
     best_clique: list[int] = []
 
     def greedy_color(candidates: int):
@@ -212,27 +257,39 @@ def _max_clique(adj: list[int], nverts: int, max_seconds: float | None):
                 available &= ~adj[v]
         return order, colors
 
-    def expand(clique: list[int], candidates: int):
-        nonlocal best_size, best_clique
+    def frame(candidates: int) -> list:
         if deadline is not None and time.monotonic() > deadline:
             raise ScaleCapExceeded("clique search exceeded the time budget")
         order, colors = greedy_color(candidates)
-        for idx in range(len(order) - 1, -1, -1):
-            if len(clique) + colors[idx] <= best_size:
-                return
-            v = order[idx]
-            clique.append(v)
-            nxt = candidates & adj[v]
-            if nxt:
-                expand(clique, nxt)
-            elif len(clique) > best_size:
-                best_size = len(clique)
-                best_clique = clique.copy()
-            clique.pop()
-            candidates &= ~(1 << v)
+        return [order, colors, len(order), candidates]
 
-    if nverts:
-        expand([], (1 << nverts) - 1)
+    clique: list[int] = []
+    stack = [frame((1 << len(adj)) - 1)]
+    while stack:
+        top = stack[-1]
+        order, colors, idx, candidates = top
+        idx -= 1
+        if idx < 0 or len(clique) + colors[idx] <= best_size:
+            # Frame exhausted or bounded: back in the parent, drop the
+            # vertex this frame extended.
+            stack.pop()
+            if stack:
+                stack[-1][3] &= ~(1 << clique.pop())
+            continue
+        top[2] = idx
+        v = order[idx]
+        clique.append(v)
+        nxt = candidates & adj[v]
+        if nxt:
+            stack.append(frame(nxt))
+            continue
+        if len(clique) > best_size:
+            best_size = len(clique)
+            best_clique = clique.copy()
+            if best_size == stop_size:
+                break
+        clique.pop()
+        top[3] = candidates & ~(1 << v)
     return best_size, best_clique
 
 

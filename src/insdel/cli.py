@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -64,6 +65,16 @@ def _thread_count(text: str) -> int:
     return int(text)
 
 
+def _seconds(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
 def _base_parser(name: str) -> _Parser:
     p = _Parser(prog=f"insdel {name}", add_help=True)
     p.add_argument("--json", action="store_true", help="emit one JSON document")
@@ -88,14 +99,29 @@ def _jsonable(value):
     return value
 
 
-def _emit(report: dict, as_json: bool) -> None:
+def _render(report: dict, as_json: bool) -> str:
     if as_json:
-        print(json.dumps(_jsonable(report), sort_keys=True))
-        return
+        return json.dumps(_jsonable(report), sort_keys=True) + "\n"
+    lines = []
     for key, value in report.items():
         if isinstance(value, Fraction):
             value = f"{value.numerator}/{value.denominator}"
-        print(f"{key}={value}")
+        lines.append(f"{key}={value}\n")
+    return "".join(lines)
+
+
+def _emit(report: dict, as_json: bool) -> None:
+    """Write the whole report or nothing: an integer longer than the
+    interpreter's int-to-str digit limit is a scale-cap refusal."""
+    try:
+        text = _render(report, as_json)
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        raise ScaleCapExceeded(
+            f"a report integer has more than {sys.get_int_max_str_digits()} decimal digits"
+        ) from None
+    sys.stdout.write(text)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -274,7 +300,7 @@ def _cmd_exact_iq(argv):
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--max-seconds", type=float, default=None)
+    p.add_argument("--max-seconds", type=_seconds, default=None)
     p.add_argument("--out", default=None)
     a = p.parse_args(argv)
     size, code = exact_iq(a.q, a.n, a.d, a.max_seconds)

@@ -558,11 +558,19 @@ class UnitResidue:
     def __pow__(self, e: int) -> "UnitResidue":
         if e < 0:
             raise DomainError("negative powers not needed; invert explicitly")
-        result = self.rctx.one()
+        if e == 0:
+            return self.rctx.one()
+        # Square up to the lowest set bit, start there, and stop squaring
+        # at the top bit: popcount(e) - 1 + bit_length(e) - 1 multiplies.
         base = self
+        while not e & 1:
+            base = base * base
+            e >>= 1
+        result = base
+        e >>= 1
         while e:
+            base = base * base
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
         return result

@@ -1,9 +1,13 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from insdel import bounds
 from insdel.bounds import (
     _iroot,
     counterexample_code,
@@ -183,6 +187,119 @@ class TestExactIq:
 
     def test_deterministic_witness(self):
         assert exact_iq(2, 3, 4)[1].members == exact_iq(2, 3, 4)[1].members
+
+
+def _single_phase_clique(adj):
+    """Reference: the recursive single-phase search exact_iq ran before
+    the degree-ordered proof and the replay, without a time budget."""
+    best_size = 0
+    best_clique = []
+
+    def greedy_color(candidates):
+        order, colors, color, remaining = [], [], 0, candidates
+        while remaining:
+            color += 1
+            available = remaining
+            while available:
+                v = (available & -available).bit_length() - 1
+                order.append(v)
+                colors.append(color)
+                remaining &= ~(1 << v)
+                available &= ~(1 << v)
+                available &= ~adj[v]
+        return order, colors
+
+    def expand(clique, candidates):
+        nonlocal best_size, best_clique
+        order, colors = greedy_color(candidates)
+        for idx in range(len(order) - 1, -1, -1):
+            if len(clique) + colors[idx] <= best_size:
+                return
+            v = order[idx]
+            clique.append(v)
+            nxt = candidates & adj[v]
+            if nxt:
+                expand(clique, nxt)
+            elif len(clique) > best_size:
+                best_size = len(clique)
+                best_clique = clique.copy()
+            clique.pop()
+            candidates &= ~(1 << v)
+
+    if adj:
+        expand([], (1 << len(adj)) - 1)
+    return best_size, best_clique
+
+
+@st.composite
+def random_graphs(draw):
+    n = draw(st.integers(0, 40))
+    density = draw(st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    adj = [0] * n
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() < density:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj
+
+
+# The single-phase reference does not finish these within a minute:
+# (2, 8, 4) is the 1dc.256 instance with omega = 30.
+BEYOND_REFERENCE = {(2, 8, 4), (3, 5, 4), (4, 4, 4), (6, 3, 4)}
+
+SWEEP_INSTANCES = [
+    (5, 3, 4), (2, 8, 6), (4, 4, 6), (3, 5, 8), (2, 7, 6),
+    (3, 5, 6), (2, 6, 4), (3, 4, 6), (2, 8, 8),
+]
+
+
+class TestTwoPhaseClique:
+    @given(random_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_single_phase_search(self, adj):
+        assert bounds._first_max_clique(adj, None) == _single_phase_clique(adj)
+
+    def test_exact_iq_witness_unchanged(self, monkeypatch):
+        graphs = []
+        first = bounds._first_max_clique
+
+        def spy(adj, deadline):
+            graphs.append(adj)
+            return first(adj, deadline)
+
+        monkeypatch.setattr(bounds, "_first_max_clique", spy)
+        instances = [
+            (q, n, d)
+            for q in range(2, 257)
+            for n in range(1, 9)
+            if q**n <= 256
+            for d in range(2, 2 * n + 1, 2)
+            if (q, n, d) not in BEYOND_REFERENCE
+        ]
+        assert set(SWEEP_INSTANCES) <= set(instances)
+        for q, n, d in instances:
+            size, code = exact_iq(q, n, d)
+            ref_size, ref_clique = _single_phase_clique(graphs.pop())
+            words = list(all_words(q, n))
+            assert size == ref_size
+            assert code.members == tuple(words[v] for v in sorted(ref_clique))
+
+    def test_tiny_budget_raises(self):
+        with pytest.raises(ScaleCapExceeded):
+            exact_iq(5, 3, 4, max_seconds=1e-9)
+
+    def test_both_phases_share_one_deadline(self, monkeypatch):
+        deadlines = []
+        search = bounds._max_clique
+
+        def spy(adj, deadline, *rest):
+            deadlines.append(deadline)
+            return search(adj, deadline, *rest)
+
+        monkeypatch.setattr(bounds, "_max_clique", spy)
+        exact_iq(5, 3, 4, max_seconds=600)
+        assert len(deadlines) == 2 and deadlines[0] == deadlines[1] is not None
 
 
 def rs_code_as_words(q, n, k):

@@ -96,6 +96,29 @@ class TestCliExitCodes:
         result = run_cli("exact-iq", "--q", "3", "--n", "9", "--d", "4")
         assert result.returncode == 2
 
+    def test_exact_iq_clique_of_every_vertex(self):
+        # 1024 vertices at pairwise distance >= 2: the clique is the whole
+        # graph, one search level per vertex.
+        result = run_cli("exact-iq", "--q", "2", "--n", "10", "--d", "2")
+        assert result.returncode == 0, result.stderr
+        assert "size=1024" in result.stdout.splitlines()
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_max_seconds_must_be_finite_and_positive(self, value):
+        result = run_cli("exact-iq", "--q", "2", "--n", "3", "--d", "4", f"--max-seconds={value}")
+        assert result.returncode == 1
+        assert result.stderr.count("\n") == 1
+        assert "--max-seconds" in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("fmt", [(), ("--json",)])
+    def test_bounds_past_int_digit_limit_is_two(self, fmt):
+        result = run_cli("bounds", "--q", "2", "--n", "100000", "--d", "4", *fmt)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stderr
+
     def test_unknown_subcommand_is_64(self):
         result = run_cli("frobnicate")
         assert result.returncode == 64

@@ -220,6 +220,19 @@ class TestUnitArithmetic:
             expected = _reference_product(rctx, expected, a)
         assert (UnitResidue(rctx, a) ** e).coeffs == expected
 
+    @pytest.mark.parametrize("e, multiplies", [(0, 0), (1, 0), (2, 1), (8, 3), (13, 5), (255, 14)])
+    def test_pow_multiply_count(self, monkeypatch, e, multiplies):
+        # Square-and-multiply from the lowest set bit to the top bit:
+        # popcount(e) - 1 products plus bit_length(e) - 1 squarings.
+        rctx = ResidueCtx.linear_power(field_make(7), 2, 4)
+        x = UnitResidue(rctx, (3, 1, 0))
+        expected = (x ** e).coeffs
+        calls = []
+        mul = UnitResidue.__mul__
+        monkeypatch.setattr(UnitResidue, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+        assert (x ** e).coeffs == expected
+        assert len(calls) == multiplies
+
     def test_mul_accepts_equal_rings(self):
         f5 = field_make(5)
         first = ResidueCtx.linear_power(f5, 0, 3)
