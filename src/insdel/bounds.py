@@ -14,6 +14,7 @@ import time
 from fractions import Fraction
 
 from .errors import DomainError, ScaleCapExceeded
+from .lift import PAIR_CAP_ENV, pair_cap
 from .words import (
     INSDEL,
     Code,
@@ -170,22 +171,27 @@ def exact_iq(q: int, n: int, d: int, max_seconds: float | None = None):
 
     Vertices are the words of [q]^n in lexicographic order; edges join
     pairs at distance >= d. Branch-and-bound with a greedy-coloring upper
-    bound, deterministic throughout. ``max_seconds`` bounds both phases
-    of the clique search together (``ScaleCapExceeded`` past it).
+    bound, deterministic throughout. ``max_seconds`` bounds the whole run,
+    the adjacency build and both phases of the clique search together
+    (``ScaleCapExceeded`` past it).
     """
     _check_even_d(q, n, d)
+    # q >= 2, so q^n passes the cap once n passes its bit length; q^n is
+    # formed only below that.
+    if n > CLIQUE_VERTEX_CAP.bit_length() or q**n > CLIQUE_VERTEX_CAP:
+        raise ScaleCapExceeded(f"q^n = {q}^{n} vertices exceed the cap {CLIQUE_VERTEX_CAP}")
+    deadline = None if max_seconds is None else time.monotonic() + max_seconds
     nverts = q**n
-    if nverts > CLIQUE_VERTEX_CAP:
-        raise ScaleCapExceeded(f"{nverts} vertices exceed the cap {CLIQUE_VERTEX_CAP}")
     words = [tuple(w.symbols) for w in all_words(q, n)]
     adj = [0] * nverts
     for i in range(nverts):
+        if deadline is not None and time.monotonic() > deadline:
+            raise ScaleCapExceeded("adjacency build exceeded the time budget")
         wi = words[i]
         for j in range(i + 1, nverts):
             if insdel_distance_raw(wi, words[j]) >= d:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    deadline = None if max_seconds is None else time.monotonic() + max_seconds
     size, clique = _first_max_clique(adj, deadline)
     code = Code(q, n, tuple(Word(q, words[v]) for v in sorted(clique)))
     return size, code
@@ -344,11 +350,17 @@ def verify_support_structure(code: Code, k: int):
 
 def counterexample_code(q: int, n: int) -> tuple[Code, dict]:
     """The q constant words plus one all-distinct word: size q+1 at insdel
-    distance 2n-2, beating the q^(n-d/2) power bound."""
+    distance 2n-2, beating the q^(n-d/2) power bound. The distance is
+    verified over all pairs, so q(q+1)/2 must not pass ``pair_cap()``."""
     if n > q:
         raise DomainError(f"need n <= q, got n={n}, q={q}")
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
+    cap = pair_cap()
+    if q * (q + 1) // 2 > cap:
+        raise ScaleCapExceeded(
+            f"the q+1 words for q={q} give q(q+1)/2 verification pairs, past the cap {cap} ({PAIR_CAP_ENV})"
+        )
     members = [Word(q, (a,) * n) for a in range(q)]
     members.append(Word(q, tuple(range(n))))
     code = Code(q, n, tuple(members))

@@ -9,11 +9,13 @@ guarantee.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError, ScaleCapExceeded
 from .gf import (
+    SIZE_CAP,
     FieldCtx,
     Polynomial,
     ResidueCtx,
@@ -62,6 +64,8 @@ class L1ConstructionSpec:
             raise DomainError(f"delta must be >= 2, got {self.delta}")
         if self.n < self.delta:
             raise DomainError(f"need n >= delta, got n={self.n}, delta={self.delta}")
+        if self.q > SIZE_CAP:
+            raise ScaleCapExceeded(f"q = {self.q} needs a field of size r >= q, past the cap {SIZE_CAP}")
         if self.irreducible_modulus is not None:
             if self.delta < 3:
                 raise DomainError("an irreducible modulus needs delta >= 3")
@@ -79,11 +83,11 @@ class L1ConstructionSpec:
         if not 0 <= self.alpha < r:
             raise DomainError(f"alpha {self.alpha} not in F_{r}")
         if self.irreducible_modulus is not None:
-            alphas = self.alphas or tuple(range(r))[: self.q]
+            alphas = self.alphas or tuple(range(self.q))
         else:
             alphas = self.alphas or tuple(
-                a for a in range(r) if a != self.alpha
-            )[: self.q]
+                itertools.islice((a for a in range(r) if a != self.alpha), self.q)
+            )
         object.__setattr__(self, "alphas", tuple(alphas))
         if len(self.alphas) != self.q:
             raise DomainError(f"need {self.q} bucketing points, got {len(self.alphas)}")
@@ -152,6 +156,20 @@ def pi_map(a: Composition, spec: L1ConstructionSpec) -> UnitResidue:
     return _unit_map(spec)(a.counts)
 
 
+def _composition_count(n: int, q: int, cap: int) -> int | None:
+    """C(n+q-1, n), the number of compositions of n into q bins, or None
+    once it passes ``cap``. The partial products C(n+q-1-k+i, i), with
+    k = min(n, q-1), only grow with i, so a huge binomial is never
+    formed."""
+    k = min(n, q - 1)
+    count = 1
+    for i in range(1, k + 1):
+        count = count * (n + q - 1 - k + i) // i
+        if count > cap:
+            return None
+    return count if count <= cap else None
+
+
 def construct_l1(spec: L1ConstructionSpec) -> tuple[Code, dict]:
     """Bucket the whole composition space and keep the largest fiber.
 
@@ -159,10 +177,10 @@ def construct_l1(spec: L1ConstructionSpec) -> tuple[Code, dict]:
     The report carries the exhaustively verified minimum L1 distance next
     to the pigeonhole guarantee.
     """
-    total = math.comb(spec.n + spec.q - 1, spec.n)
-    if total > ENUMERATION_CAP:
+    if _composition_count(spec.n, spec.q, ENUMERATION_CAP) is None:
         raise ScaleCapExceeded(
-            f"{total} compositions exceed the enumeration cap {ENUMERATION_CAP}"
+            f"C(n+q-1, n) compositions for q={spec.q}, n={spec.n} exceed"
+            f" the enumeration cap {ENUMERATION_CAP}"
         )
     unit_of = _unit_map(spec)
     buckets: dict[int, list[Composition]] = {}

@@ -218,6 +218,8 @@ def field_from_size(q: int) -> FieldCtx:
     """GF(q) for a prime power q, factoring q as p^m."""
     if q < 2:
         raise DomainError(f"field size must be >= 2, got {q}")
+    if q > SIZE_CAP:
+        raise ScaleCapExceeded(f"field size {q} exceeds cap {SIZE_CAP}")
     if is_prime(q):
         return field_make(q)
     p = 2

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, ScaleCapExceeded
 from .gf import FieldCtx, Matrix, Polynomial, det, field_make, next_prime, nullspace
-from .words import lcs_length_raw
+from .words import closest_pair, lcs_length_raw
 
 EXHAUSTIVE_CAP = 10**4  # max q^k codewords for the exhaustive sweep
 
@@ -231,13 +231,14 @@ def rs_exhaustive_insdel(code: RsCode, cap: int = EXHAUSTIVE_CAP):
     about 2q^2 for k = 2.
 
     Pairs are swept representative by representative, partners in index
-    order, and the first minimiser met is the witness; it is the first
-    witness of the full sweep. The messages occurring in minimising pairs
-    form a union of orbits, and the least message of an orbit is its
-    representative: the constant term weighs most in the index order, then
-    the coefficients by increasing degree. So the least such message i is
-    a representative, no earlier representative has a minimising partner,
-    and every partner of i lies above i.
+    order, each representative as one ``closest_pair`` row against all
+    codewords but its own, and the first minimiser met is the witness; it
+    is the first witness of the full sweep. The messages occurring in
+    minimising pairs form a union of orbits, and the least message of an
+    orbit is its representative: the constant term weighs most in the
+    index order, then the coefficients by increasing degree. So the least
+    such message i is a representative, no earlier representative has a
+    minimising partner, and every partner of i lies above i.
     """
     count = code.ctx.q**code.k
     if count > cap:
@@ -245,19 +246,9 @@ def rs_exhaustive_insdel(code: RsCode, cap: int = EXHAUSTIVE_CAP):
     ctx = code.ctx
     messages = list(_all_messages(ctx, code.k))
     words = [_encode_coeffs(ctx, code.alphas, coeffs) for coeffs in messages]
-    n2 = 2 * code.n
-    best = None
-    witness = None
-    for r, coeffs in enumerate(messages):
-        if not _is_orbit_representative(coeffs):
-            continue
-        u = words[r]
-        for g, v in enumerate(words):
-            if g != r:
-                d = n2 - 2 * lcs_length_raw(u, v)
-                if best is None or d < best:
-                    best, witness = d, (u, v)
-    return best, witness
+    reps = [r for r, coeffs in enumerate(messages) if _is_orbit_representative(coeffs)]
+    low, r, g = closest_pair(words, code.n, reps, upper=False)
+    return 2 * low, (words[r], words[g])
 
 
 def invertible_difference_indices(code: RsCode, k: int):

@@ -190,7 +190,6 @@ class Code:
 
 
 _PAIR_METRICS = {
-    INSDEL: insdel_distance,
     HAMMING: hamming_distance,
     L1: l1_distance,
 }
@@ -200,9 +199,10 @@ def code_min_distance(code: Code, metric: str):
     """Exact minimum pairwise distance with one witnessing pair.
 
     Pairs are swept in lexicographic member order so the reported witness
-    is reproducible.
+    is reproducible. INSDEL codes go through ``closest_pair``, the packed
+    LCS kernel, in that same order.
     """
-    if metric not in _PAIR_METRICS:
+    if metric != INSDEL and metric not in _PAIR_METRICS:
         raise DomainError(f"unknown metric {metric!r}")
     if metric == L1 and code.kind != CWL1:
         raise DomainError("L1 metric requires a CWL1 code")
@@ -210,14 +210,134 @@ def code_min_distance(code: Code, metric: str):
         raise DomainError(f"{metric} metric requires an INSDEL code")
     if len(code) < 2:
         raise UndefinedDistance("minimum distance needs at least two members")
+    members = sorted(code.members)
+    if metric == INSDEL:
+        words = [m.symbols for m in members]
+        low, i, j = closest_pair(words, code.n, range(len(words) - 1), upper=True)
+        return 2 * low, (members[i], members[j])
     dist = _PAIR_METRICS[metric]
     best = None
     witness = None
-    for u, v in itertools.combinations(sorted(code.members), 2):
+    for u, v in itertools.combinations(members, 2):
         d = dist(u, v)
         if best is None or d < best:
             best, witness = d, (u, v)
     return best, witness
+
+
+# Popcount of every byte value, for bytes.translate.
+_POPCOUNT = bytes(bin(b).count("1") for b in range(256))
+
+# Match-mask bytes allowed to one block of packed words (see closest_pair).
+_BLOCK_BYTES = 1 << 22
+
+
+class PackedWords:
+    """Words of one length n packed for the bit-parallel LCS kernel.
+
+    Word j of m owns lane m-1-j of a big int: n // 8 + 1 bytes, whose n
+    low bits stand for its symbol positions and whose bits above them are
+    guards that take the carry out of the lane. The match mask of each
+    symbol over all lanes is built here, once.
+    """
+
+    def __init__(self, words, n: int):
+        self.n = n
+        self.count = len(words)
+        lane = self._lane = n // 8 + 1
+        buffers: dict = {}
+        for j, w in enumerate(words):
+            base = (self.count - 1 - j) * lane
+            for pos, y in enumerate(w):
+                buf = buffers.get(y)
+                if buf is None:
+                    buf = buffers[y] = bytearray(self.count * lane)
+                buf[base + (pos >> 3)] |= 1 << (pos & 7)
+        self._masks = {y: int.from_bytes(b, "little") for y, b in buffers.items()}
+        self._low = int.from_bytes(((1 << n) - 1).to_bytes(lane, "little") * self.count, "little")
+        self._ones = int.from_bytes(b"\x01" * lane, "little")
+
+    def row(self, word, start: int = 0):
+        """n - LCS(word, w) for the packed words w from index ``start`` on,
+        in index order: bytes, or a list of ints when n > 255.
+
+        ``lcs_length_raw``'s recurrence runs on every lane at once, one
+        add/and/or step per symbol of ``word``, on the low lanes only
+        (words ``start`` to m-1). A step carries at most once out of a
+        lane's n low bits, into its guard bits, and the step's final mask
+        clears the guards again, so no carry reaches the next lane. The
+        count of each lane is the popcount of its bytes, summed by one
+        multiply: every window of lane-many bytes sums to at most n, so
+        for n < 256 no byte carries into the next.
+        """
+        lane = self._lane
+        lanes = self.count - start
+        low = self._low >> (8 * lane * start)
+        masks = self._masks
+        v = low
+        for x in word:
+            m = masks.get(x)
+            if m:
+                u = v & m
+                v = ((v + u) | (v - u)) & low
+        counts = v.to_bytes(lanes * lane, "little").translate(_POPCOUNT)
+        if self.n < 256:
+            total = int.from_bytes(counts, "little") * self._ones
+            counts = total.to_bytes((lanes + 1) * lane - 1, "little")[lane - 1 :: lane]
+        else:
+            counts = [sum(counts[i : i + lane]) for i in range(0, len(counts), lane)]
+        return counts[::-1]
+
+
+def _blocks(words, n: int):
+    """Consecutive index ranges [b0, b1) of ``words`` whose match masks,
+    each at most the block's size, take at most _BLOCK_BYTES together; a
+    word too large for the budget forms a block alone."""
+    lane = n // 8 + 1
+    start, symbols = 0, set()
+    for j, w in enumerate(words):
+        symbols.update(w)
+        if j > start and len(symbols) * (j + 1 - start) * lane > _BLOCK_BYTES:
+            yield start, j
+            start, symbols = j, set(w)
+    if words:
+        yield start, len(words)
+
+
+def closest_pair(words, n: int, rows, upper: bool):
+    """Least n - LCS(words[i], words[j]) over i in ``rows`` and j != i
+    (j > i when ``upper``), as (low, i, j) for the first pair reaching it:
+    rows in the given order, then j ascending. None without pairs.
+
+    All words have length n, so the insdel distance of a pair is twice
+    its n - LCS. Each row is one ``PackedWords.row``, and ``min`` and
+    ``index`` find its first minimum. The words are packed in consecutive
+    blocks (``_blocks``) and every row sweeps a block before the next is
+    packed, so a code with many symbols and long words needs one block's
+    masks at a time, not masks over the whole code per symbol.
+    """
+    best = [None] * len(rows)
+    for b0, b1 in _blocks(words, n):
+        pack = PackedWords(words[b0:b1], n)
+        for t, i in enumerate(rows):
+            first = max(b0, i + 1) if upper else b0
+            if first >= b1:
+                continue
+            row = pack.row(words[i], first - b0)
+            own = not upper and b0 <= i < b1
+            if own:
+                row = row[: i - b0] + row[i - b0 + 1 :]
+                if not row:
+                    continue
+            low = min(row)
+            if best[t] is None or low < best[t][0]:
+                j = first + row.index(low)
+                best[t] = (low, j + 1 if own and j >= i else j)
+    result = None
+    for t, i in enumerate(rows):
+        if best[t] is not None and (result is None or best[t][0] < result[0]):
+            result = (best[t][0], i, best[t][1])
+    return result
 
 
 def all_words(q: int, n: int):

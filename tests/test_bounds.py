@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from insdel.bounds import (
     size_upper_bound,
     verify_support_structure,
 )
+from insdel.cli import main
 from insdel.errors import DomainError, ScaleCapExceeded
 from insdel.gf import field_make
 from insdel.rs import RsCode, rs_encode
@@ -163,6 +165,22 @@ class TestExactIq:
     def test_vertex_cap(self):
         with pytest.raises(ScaleCapExceeded):
             exact_iq(2, 13, 4)
+
+    @pytest.mark.parametrize("q, n", [(16, 4096), (64, 99999999999), (4097, 1), (2, 14)])
+    def test_vertex_cap_without_forming_q_to_the_n(self, q, n):
+        # 16^4096 has 4933 digits and 64^99999999999 cannot be formed;
+        # the message names q^n by its parameters.
+        with pytest.raises(ScaleCapExceeded, match=rf"q\^n = {q}\^{n} vertices"):
+            exact_iq(q, n, 2)
+
+    def test_budget_covers_adjacency_build(self, capsys):
+        # (3, 7, 4) builds its adjacency from about 2.4e6 LCS calls (over
+        # 6 s); the budget is checked once per row of the build.
+        start = time.monotonic()
+        code = main(["exact-iq", "--q", "3", "--n", "7", "--d", "4", "--max-seconds", "0.5"])
+        assert time.monotonic() - start < 1.0
+        assert code == 2
+        assert capsys.readouterr().err == "insdel exact-iq: scale cap: adjacency build exceeded the time budget\n"
 
     def test_never_beats_upper_bounds(self):
         for q in (2, 3):
@@ -386,3 +404,16 @@ class TestCounterexample:
     def test_rejects_long_words(self):
         with pytest.raises(DomainError):
             counterexample_code(3, 4)
+
+    def test_pair_cap_before_any_word(self, monkeypatch):
+        # 4471 * 4472 / 2 <= 10^7 < 4472 * 4473 / 2.
+        monkeypatch.delenv("INSDEL_MAX_PAIRS", raising=False)
+        assert counterexample_code(4471, 3)[1]["size"] == 4472
+        for q in (4472, 99999999999):
+            with pytest.raises(ScaleCapExceeded, match="INSDEL_MAX_PAIRS"):
+                counterexample_code(q, 3)
+        monkeypatch.setenv("INSDEL_MAX_PAIRS", "5")
+        with pytest.raises(ScaleCapExceeded):
+            counterexample_code(3, 3)
+        monkeypatch.setenv("INSDEL_MAX_PAIRS", "6")
+        assert counterexample_code(3, 3)[1]["min_insdel"] == 4

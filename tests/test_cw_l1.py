@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from insdel.cw_l1 import (
+    ENUMERATION_CAP,
     L1ConstructionSpec,
+    _composition_count,
     construct_l1,
     pi_map,
     smallest_construction_prime,
@@ -132,6 +134,23 @@ class TestConstruction:
     def test_enumeration_cap(self):
         with pytest.raises(ScaleCapExceeded):
             construct_l1(L1ConstructionSpec(q=12, n=40, delta=2))
+
+    def test_enumeration_cap_without_forming_the_binomial(self):
+        # C(19999, 10000) has over 6000 digits; the message names it by
+        # its parameters.
+        with pytest.raises(ScaleCapExceeded, match="q=10000, n=10000"):
+            construct_l1(L1ConstructionSpec(q=10000, n=10000, delta=3))
+        with pytest.raises(ScaleCapExceeded):
+            L1ConstructionSpec(q=99999999999, n=3, delta=2)
+
+    def test_composition_count(self):
+        for q in range(1, 9):
+            for n in range(0, 12):
+                total = math.comb(n + q - 1, n)
+                assert _composition_count(n, q, 10**9) == total
+                assert _composition_count(n, q, total) == total
+                assert _composition_count(n, q, total - 1) is None
+        assert _composition_count(10**11, 10**11, ENUMERATION_CAP) is None
 
     def test_deterministic(self):
         spec = L1ConstructionSpec(q=3, n=5, delta=2)

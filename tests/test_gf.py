@@ -70,6 +70,12 @@ class TestFieldArithmetic:
         with pytest.raises(ScaleCapExceeded):
             field_make(2, 21)
 
+    def test_size_cap_before_factoring(self):
+        # Trial division of this square of a prime near 10^11 would run
+        # to its root; the cap refuses it first.
+        with pytest.raises(ScaleCapExceeded):
+            field_from_size(99999999977**2)
+
     def test_field_from_size(self):
         assert field_from_size(9).p == 3 and field_from_size(9).m == 2
         assert field_from_size(7).q == 7

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from insdel import rs as rs_module
 from insdel.errors import DomainError, ScaleCapExceeded
 from insdel.gf import Matrix, Polynomial, det, field_from_size, field_make
 from insdel.rs import (
@@ -22,7 +21,7 @@ from insdel.rs import (
     rs_encode,
     rs_exhaustive_insdel,
 )
-from insdel.words import insdel_distance_raw, lcs_length_raw
+from insdel.words import PackedWords, insdel_distance_raw, lcs_length_raw
 
 
 class TestAffineMaps:
@@ -174,16 +173,21 @@ class TestExhaustiveSweep:
 
     @pytest.mark.parametrize("q, k", [(7, 1), (7, 2), (4, 3)])
     def test_sweeps_one_representative_per_orbit(self, q, k, monkeypatch):
-        calls = []
+        # One kernel row per representative; its partners are every lane
+        # of the row but the representative's own.
+        rows = []
+        row = PackedWords.row
 
-        def counting_lcs(a, b):
-            calls.append(1)
-            return lcs_length_raw(a, b)
+        def counting_row(self, word, start=0):
+            counts = row(self, word, start)
+            rows.append(len(counts) - 1)
+            return counts
 
-        monkeypatch.setattr(rs_module, "lcs_length_raw", counting_lcs)
+        monkeypatch.setattr(PackedWords, "row", counting_row)
         rs_exhaustive_insdel(RsCode(field_from_size(q), tuple(range(k + 1)), k))
         reps = 1 + (q ** (k - 1) - 1) // (q - 1)
-        assert len(calls) == reps * (q**k - 1)
+        assert len(rows) == reps
+        assert sum(rows) == reps * (q**k - 1)
 
 
 class TestGreedyConstruction:

@@ -1,18 +1,24 @@
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from insdel.errors import AlphabetMismatch, DomainError, UndefinedDistance
+from insdel import words as words_module
 from insdel.oracles import edit_graph_distance, lcs_by_enumeration, word_graph_distance
 from insdel.words import (
+    _BLOCK_BYTES,
     CWL1,
     INSDEL,
     Code,
     Composition,
+    PackedWords,
     Word,
+    _blocks,
     all_words,
+    closest_pair,
     code_min_distance,
     compositions_colex,
     hamming_distance,
@@ -204,3 +210,126 @@ class TestCode:
         d, witness = code_min_distance(Code(2, 2, members), INSDEL)
         assert d == 2
         assert witness == (Word(2, (0, 0)), Word(2, (0, 1)))
+
+
+def _pairwise_min_distance(members):
+    """The pairwise INSDEL sweep that code_min_distance ran before the
+    packed kernel: sorted members, pairs in lexicographic order, the first
+    strict minimum wins."""
+    best = witness = None
+    for u, v in itertools.combinations(sorted(members), 2):
+        d = len(u) + len(v) - 2 * lcs_length_raw(u.symbols, v.symbols)
+        if best is None or d < best:
+            best, witness = d, (u, v)
+    return best, witness
+
+
+def _pairwise_closest(words, rows, upper):
+    best = None
+    for i in rows:
+        for j in range(i + 1 if upper else 0, len(words)):
+            if j != i:
+                low = len(words[i]) - lcs_length_raw(words[i], words[j])
+                if best is None or low < best[0]:
+                    best = (low, i, j)
+    return best
+
+
+LANE_LENGTHS = (0, 1, 7, 8, 15, 16, 255, 256, 300)
+
+
+class TestPackedKernel:
+    @given(
+        st.tuples(st.sampled_from(LANE_LENGTHS), st.integers(2, 300)).flatmap(
+            lambda nq: st.tuples(
+                st.just(nq[0]),
+                st.lists(
+                    st.lists(st.integers(0, nq[1] - 1), min_size=nq[0], max_size=nq[0]),
+                    min_size=1,
+                    max_size=4,
+                ),
+                st.integers(0, nq[0] + 3).flatmap(
+                    lambda m: st.lists(st.integers(0, nq[1] - 1), min_size=m, max_size=m)
+                ),
+                st.data(),
+            )
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_row_matches_pairwise_lcs_and_oracle(self, case):
+        # Lane-boundary lengths, alphabets up to 300, row words of any
+        # length; from n = 256 on, counts pass 255.
+        n, words, word, data = case
+        start = data.draw(st.integers(0, len(words) - 1))
+        row = PackedWords(words, n).row(word, start)
+        assert list(row) == [n - lcs_length_raw(word, w) for w in words[start:]]
+        d = edit_graph_distance(Word(300, tuple(word)), Word(300, tuple(words[-1])))
+        assert row[-1] == n - (len(word) + n - d) // 2
+
+    @pytest.mark.parametrize("n", [255, 256, 300])
+    def test_counts_past_255_stay_in_their_lane(self, n):
+        # Full counts on both sides of a zero count: a carry out of a
+        # count byte would show in the neighbouring lane.
+        word = tuple(range(n))
+        other = tuple(range(n, 2 * n))
+        row = PackedWords([other, word, other, word], n).row(word)
+        assert list(row) == [n, 0, n, 0]
+        assert isinstance(row, bytes) == (n < 256)
+
+    @given(
+        st.integers(2, 4).flatmap(
+            lambda q: st.integers(0, 10).flatmap(
+                lambda n: st.lists(
+                    st.lists(st.integers(0, q - 1), min_size=n, max_size=n).map(
+                        lambda s: Word(q, tuple(s))
+                    ),
+                    min_size=2,
+                    max_size=20,
+                    unique=True,
+                ).map(lambda members: Code(q, n, tuple(members)))
+            )
+        ),
+        st.sampled_from([0, 24, 1 << 22]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_code_min_distance_matches_pairwise_sweep(self, code, budget):
+        # Small alphabets tie often; budget 0 packs one word per block.
+        with mock.patch.object(words_module, "_BLOCK_BYTES", budget):
+            assert code_min_distance(code, INSDEL) == _pairwise_min_distance(code.members)
+
+    def test_tied_minimum_keeps_first_pair(self):
+        members = tuple(Word(3, s) for s in [(2, 2, 2), (0, 1, 2), (0, 1, 1), (1, 1, 2), (0, 0, 1)])
+        d, witness = code_min_distance(Code(3, 3, members), INSDEL)
+        assert (d, witness) == _pairwise_min_distance(members)
+        assert witness == (Word(3, (0, 0, 1)), Word(3, (0, 1, 1)))
+
+    @given(
+        st.lists(st.lists(st.integers(0, 5), min_size=6, max_size=6), min_size=2, max_size=12),
+        st.data(),
+        st.sampled_from([0, 8, 40, 1 << 22]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_closest_pair_all_partners_matches_pairwise(self, words, data, budget):
+        # The exhaustive RS sweep's form: rows in any order, every partner
+        # but the row's own word, across block boundaries.
+        rows = data.draw(st.lists(st.integers(0, len(words) - 1), min_size=1, unique=True))
+        with mock.patch.object(words_module, "_BLOCK_BYTES", budget):
+            assert closest_pair(words, 6, rows, upper=False) == _pairwise_closest(words, rows, False)
+            assert closest_pair(words, 6, rows, upper=True) == _pairwise_closest(words, rows, True)
+
+    def test_blocks_bound_the_masks(self):
+        # The counterexample family: constant words and one word holding
+        # every symbol, the shape that made one mask per symbol span the
+        # whole code.
+        q = 200
+        words = [(a,) * q for a in range(q)] + [tuple(range(q))]
+        lane = q // 8 + 1
+        blocks = list(_blocks(words, q))
+        assert blocks[0][0] == 0 and blocks[-1][1] == len(words)
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        for b0, b1 in blocks:
+            symbols = set().union(*words[b0:b1])
+            assert b1 - b0 == 1 or len(symbols) * (b1 - b0) * lane <= _BLOCK_BYTES
+        with mock.patch.object(words_module, "_BLOCK_BYTES", 1 << 14):
+            assert len(list(_blocks(words, q))) > 1
+            assert closest_pair(words, q, range(len(words) - 1), upper=True) == (q - 1, 0, q)
