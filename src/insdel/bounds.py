@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 import time
 from fractions import Fraction
 
@@ -36,9 +37,19 @@ def _check_even_d(q: int, n: int, d: int) -> None:
         raise DomainError(f"need 2 <= d <= 2n, got d={d}, n={n}")
 
 
+def _check_formula(q: int, n: int, d: int) -> None:
+    """Parameters of the bound formulas. They form integers up to about
+    q^n (and loop over up to n terms), so q^n must not pass the
+    interpreter's int-to-str digit limit, which no report could print."""
+    _check_even_d(q, n, d)
+    limit = sys.get_int_max_str_digits()
+    if limit and n * math.log10(q) > limit:
+        raise ScaleCapExceeded(f"q^n = {q}^{n} has more than {limit} decimal digits")
+
+
 def singleton_bound(q: int, n: int, d: int) -> int:
     """Insdel Singleton ceiling q^(n - d/2 + 1)."""
-    _check_even_d(q, n, d)
+    _check_formula(q, n, d)
     return q ** (n - d // 2 + 1)
 
 
@@ -50,7 +61,7 @@ def size_upper_bound(q: int, n: int, d: int) -> tuple[int, str]:
     averages two Singleton powers for 4 <= d <= 2n-2; clause "iii" drops
     to q^(n-d/2) once 2q <= d.
     """
-    _check_even_d(q, n, d)
+    _check_formula(q, n, d)
     if d == 2:
         return q**n, "i"
     if d == 2 * n:
@@ -67,11 +78,15 @@ def size_upper_bound(q: int, n: int, d: int) -> tuple[int, str]:
 
 def levenshtein_lower_bound(q: int, n: int, d: int) -> Fraction:
     """Classic sphere-counting existence bound, exact rational value."""
-    _check_even_d(q, n, d)
+    _check_formula(q, n, d)
     half = d // 2
     if half > n:
         raise DomainError(f"need d/2 <= n, got d={d}, n={n}")
-    ball = sum(math.comb(n, i) * (q - 1) ** i for i in range(half + 1))
+    # Ball volume sum_{i <= d/2} C(n, i) (q-1)^i, each term from the last.
+    term = ball = 1
+    for i in range(half):
+        term = term * (n - i) * (q - 1) // (i + 1)
+        ball += term
     return Fraction(q ** (n + half), ball * ball)
 
 
@@ -348,18 +363,32 @@ def verify_support_structure(code: Code, k: int):
     return ok, full_counts
 
 
+CELLS_PER_PAIR = 9  # LCS cells of one pair of length-3 words
+
+
 def counterexample_code(q: int, n: int) -> tuple[Code, dict]:
     """The q constant words plus one all-distinct word: size q+1 at insdel
-    distance 2n-2, beating the q^(n-d/2) power bound. The distance is
-    verified over all pairs, so q(q+1)/2 must not pass ``pair_cap()``."""
+    distance 2n-2, beating the q^(n-d/2) power bound.
+
+    The distance is verified over all pairs, so q(q+1)/2 must not pass
+    ``pair_cap()``, and their LCS cells, n^2 a pair, must not pass the
+    cells of that many pairs at n = 3 (CELLS_PER_PAIR). At n <= 3 the pair
+    cap alone decides; q = 4471, n = 3, the largest q it admits, verifies
+    in under a second."""
     if n > q:
         raise DomainError(f"need n <= q, got n={n}, q={q}")
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     cap = pair_cap()
-    if q * (q + 1) // 2 > cap:
+    pairs = q * (q + 1) // 2
+    if pairs > cap:
         raise ScaleCapExceeded(
             f"the q+1 words for q={q} give q(q+1)/2 verification pairs, past the cap {cap} ({PAIR_CAP_ENV})"
+        )
+    if pairs * n * n > cap * CELLS_PER_PAIR:
+        raise ScaleCapExceeded(
+            f"{pairs} verification pairs of length-{n} words take {pairs * n * n} LCS cells, past the"
+            f" budget {cap * CELLS_PER_PAIR} ({CELLS_PER_PAIR} for each of the {cap} pairs of {PAIR_CAP_ENV})"
         )
     members = [Word(q, (a,) * n) for a in range(q)]
     members.append(Word(q, tuple(range(n))))

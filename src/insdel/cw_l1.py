@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 from .errors import DomainError, ScaleCapExceeded
 from .gf import (
@@ -25,6 +24,8 @@ from .gf import (
     is_prime,
     unit_group_size,
 )
+from .lift import pair_cap
+from .value import Value, _set
 from .words import CWL1, L1, Code, Composition, code_min_distance, compositions_colex
 
 ENUMERATION_CAP = 10**7
@@ -38,69 +39,70 @@ def smallest_construction_prime(q: int) -> int:
     raise RuntimeError(f"no prime in [{q + 1}, {2 * (q + 1)}]")  # unreachable
 
 
-@dataclass(frozen=True)
-class L1ConstructionSpec:
+class L1ConstructionSpec(Value):
     """Parameters of one bucketing run.
 
     With the defaults, alpha = 0 and the bucketing points alpha_i are the q
     smallest nonzero elements of F_r; any valid assignment yields the same
-    guarantees, fixing one makes output reproducible.
+    guarantees, fixing one makes output reproducible. ``r = 0`` picks the
+    smallest prime in [q+1, 2(q+1)]. ``irreducible_modulus`` is an expert
+    option: a monic irreducible modulus of degree delta-1 over F_r
+    (low-first coefficient codes). It permits r = q and needs delta >= 3.
     """
 
-    q: int
-    n: int
-    delta: int
-    r: int = 0  # 0 = auto: smallest prime in [q+1, 2(q+1)]
-    alpha: int = 0
-    alphas: tuple[int, ...] = field(default=())
-    # Expert option: a monic irreducible modulus of degree delta-1 over F_r
-    # (low-first coefficient codes). Permits r = q; needs delta >= 3.
-    irreducible_modulus: tuple[int, ...] | None = None
+    __slots__ = ("q", "n", "delta", "r", "alpha", "alphas", "irreducible_modulus")
 
-    def __post_init__(self) -> None:
-        if self.q < 2:
-            raise DomainError(f"q must be >= 2, got {self.q}")
-        if self.delta < 2:
-            raise DomainError(f"delta must be >= 2, got {self.delta}")
-        if self.n < self.delta:
-            raise DomainError(f"need n >= delta, got n={self.n}, delta={self.delta}")
-        if self.q > SIZE_CAP:
-            raise ScaleCapExceeded(f"q = {self.q} needs a field of size r >= q, past the cap {SIZE_CAP}")
-        if self.irreducible_modulus is not None:
-            if self.delta < 3:
+    def __init__(
+        self,
+        q: int,
+        n: int,
+        delta: int,
+        r: int = 0,
+        alpha: int = 0,
+        alphas: tuple[int, ...] = (),
+        irreducible_modulus: tuple[int, ...] | None = None,
+    ):
+        if q < 2:
+            raise DomainError(f"q must be >= 2, got {q}")
+        if delta < 2:
+            raise DomainError(f"delta must be >= 2, got {delta}")
+        if n < delta:
+            raise DomainError(f"need n >= delta, got n={n}, delta={delta}")
+        if q > SIZE_CAP:
+            raise ScaleCapExceeded(f"q = {q} needs a field of size r >= q, past the cap {SIZE_CAP}")
+        if irreducible_modulus is not None:
+            if delta < 3:
                 raise DomainError("an irreducible modulus needs delta >= 3")
-            r = self.r or smallest_construction_prime(self.q - 1)
-            object.__setattr__(self, "r", r)
-            if r < self.q:
-                raise DomainError(f"need r >= q = {self.q}, got {r}")
+            r = r or smallest_construction_prime(q - 1)
+            if r < q:
+                raise DomainError(f"need r >= q = {q}, got {r}")
         else:
-            r = self.r or smallest_construction_prime(self.q)
-            object.__setattr__(self, "r", r)
-            if r < self.q + 1:
-                raise DomainError(f"need r >= q+1 = {self.q + 1}, got {r}")
+            r = r or smallest_construction_prime(q)
+            if r < q + 1:
+                raise DomainError(f"need r >= q+1 = {q + 1}, got {r}")
         if not is_prime(r):
             raise DomainError(f"r must be prime, got {r}")
-        if not 0 <= self.alpha < r:
-            raise DomainError(f"alpha {self.alpha} not in F_{r}")
-        if self.irreducible_modulus is not None:
-            alphas = self.alphas or tuple(range(self.q))
+        if not 0 <= alpha < r:
+            raise DomainError(f"alpha {alpha} not in F_{r}")
+        if irreducible_modulus is not None:
+            alphas = alphas or tuple(range(q))
         else:
-            alphas = self.alphas or tuple(
-                itertools.islice((a for a in range(r) if a != self.alpha), self.q)
-            )
-        object.__setattr__(self, "alphas", tuple(alphas))
-        if len(self.alphas) != self.q:
-            raise DomainError(f"need {self.q} bucketing points, got {len(self.alphas)}")
-        seen = set(self.alphas)
-        if len(seen) != self.q:
+            alphas = alphas or tuple(itertools.islice((a for a in range(r) if a != alpha), q))
+        alphas = tuple(alphas)
+        if len(alphas) != q:
+            raise DomainError(f"need {q} bucketing points, got {len(alphas)}")
+        seen = set(alphas)
+        if len(seen) != q:
             raise DomainError("the alpha_i must be pairwise distinct")
-        if self.irreducible_modulus is None and self.alpha in seen:
+        if irreducible_modulus is None and alpha in seen:
             raise DomainError("alpha must differ from every alpha_i")
-        for a in self.alphas:
+        for a in alphas:
             if not 0 <= a < r:
                 raise DomainError(f"alpha_i {a} not in F_{r}")
+        for name, value in zip(self.__slots__, (q, n, delta, r, alpha, alphas, irreducible_modulus)):
+            _set(self, name, value)
         # Validate the expert modulus eagerly so bad input fails here.
-        if self.irreducible_modulus is not None:
+        if irreducible_modulus is not None:
             self.residue_ctx()
 
     def field_ctx(self) -> FieldCtx:
@@ -133,16 +135,20 @@ class L1ConstructionSpec:
 
 def _unit_map(spec: L1ConstructionSpec):
     """counts -> prod_i (x - alpha_i)^(counts_i) in the ring of spec; the q
-    linear factors are reduced once, here."""
+    linear factors are reduced once, here. Each factor is a unit, so by
+    Lagrange its power depends only on the count modulo the order of the
+    unit group."""
     rctx = spec.residue_ctx()
     fctx = spec.field_ctx()
     factors = [rctx.reduce(Polynomial(fctx, (fctx.neg(ai), 1))) for ai in spec.alphas]
+    order = spec.unit_count()
 
     def product(counts) -> UnitResidue:
         result = rctx.one()
         for f, count in zip(factors, counts):
-            if count:
-                result = result * f**count
+            e = count % order
+            if e:
+                result = result * f**e
         return result
 
     return product
@@ -175,12 +181,26 @@ def construct_l1(spec: L1ConstructionSpec) -> tuple[Code, dict]:
 
     Ties go to the bucket whose unit has the smallest canonical encoding.
     The report carries the exhaustively verified minimum L1 distance next
-    to the pigeonhole guarantee.
+    to the pigeonhole guarantee while the fibre's pair count fits
+    ``pair_cap()``; past it ``verified_min_l1`` is None and a note says the
+    distance 2*delta is guaranteed but unverified.
+
+    The work is checked before it starts: every composition is one ring
+    product, whose unit multiplies cost about (delta-1)^2 steps each, so
+    the compositions times (delta-1)^2 must fit ENUMERATION_CAP.
     """
-    if _composition_count(spec.n, spec.q, ENUMERATION_CAP) is None:
+    cap = pair_cap()
+    count = _composition_count(spec.n, spec.q, ENUMERATION_CAP)
+    if count is None:
         raise ScaleCapExceeded(
             f"C(n+q-1, n) compositions for q={spec.q}, n={spec.n} exceed"
             f" the enumeration cap {ENUMERATION_CAP}"
+        )
+    steps = (spec.delta - 1) ** 2
+    if count * steps > ENUMERATION_CAP:
+        raise ScaleCapExceeded(
+            f"{count} compositions times (delta-1)^2 = {steps} ring steps for"
+            f" delta={spec.delta} exceed the enumeration cap {ENUMERATION_CAP}"
         )
     unit_of = _unit_map(spec)
     buckets: dict[int, list[Composition]] = {}
@@ -191,10 +211,10 @@ def construct_l1(spec: L1ConstructionSpec) -> tuple[Code, dict]:
     )
     members = tuple(buckets[best_code])
     code = Code(spec.q, spec.n, members, kind=CWL1)
-    if len(members) >= 2:
+    npairs = len(members) * (len(members) - 1) // 2
+    verified_min = None
+    if 0 < npairs <= cap:
         verified_min, _ = code_min_distance(code, L1)
-    else:
-        verified_min = None
     report = {
         "q": spec.q,
         "n": spec.n,
@@ -205,6 +225,8 @@ def construct_l1(spec: L1ConstructionSpec) -> tuple[Code, dict]:
         "guaranteed_lower_bound": spec.guaranteed_lower_bound(),
         "verified_min_l1": verified_min,
     }
+    if npairs > cap:
+        report["note"] = f"min L1 >= {2 * spec.delta} guaranteed, unverified"
     return code, report
 
 

@@ -10,10 +10,10 @@ construction modules.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ContextMismatch, DomainError, NonUnitError, ScaleCapExceeded
+from .value import Value, _set
 
 SIZE_CAP = 2**20
 
@@ -240,21 +240,20 @@ def field_from_size(q: int) -> FieldCtx:
 NEG_INF = float("-inf")
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Value):
     """Dense polynomial over one field context, low-degree-first coefficients,
     trailing zeros trimmed."""
 
-    ctx: FieldCtx
-    coeffs: tuple[int, ...]
+    __slots__ = ("ctx", "coeffs")
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(self.coeffs)
+    def __init__(self, ctx: FieldCtx, coeffs: tuple[int, ...]):
+        coeffs = tuple(coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         for c in coeffs:
-            self.ctx.check(c)
-        object.__setattr__(self, "coeffs", coeffs)
+            ctx.check(c)
+        _set(self, "ctx", ctx)
+        _set(self, "coeffs", coeffs)
 
     @property
     def degree(self):
@@ -336,24 +335,21 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return a.scale(a.ctx.inv(a.coeffs[-1]))
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Value):
     """Dense row-major matrix over one field context."""
 
-    ctx: FieldCtx
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = ("ctx", "rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        entries = tuple(self.entries)
-        if len(entries) != self.rows * self.cols:
-            raise DomainError(
-                f"expected {self.rows * self.cols} entries, got {len(entries)}"
-            )
+    def __init__(self, ctx: FieldCtx, rows: int, cols: int, entries: tuple[int, ...]):
+        entries = tuple(entries)
+        if len(entries) != rows * cols:
+            raise DomainError(f"expected {rows * cols} entries, got {len(entries)}")
         for e in entries:
-            self.ctx.check(e)
-        object.__setattr__(self, "entries", entries)
+            ctx.check(e)
+        _set(self, "ctx", ctx)
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, ctx: FieldCtx, rows) -> "Matrix":
@@ -478,22 +474,22 @@ def unit_group_size(r: int, delta: int) -> int:
     return r ** (delta - 2) * (r - 1)
 
 
-@dataclass(frozen=True)
-class ResidueCtx:
+class ResidueCtx(Value):
     """Residue ring F_p[x]/(modulus) over a prime field, monic modulus, with
     a canonical integer encoding of representatives (base-p coefficient
     vector, low degree first)."""
 
-    field: FieldCtx
-    modulus: Polynomial
+    __slots__ = ("field", "modulus")
 
-    def __post_init__(self) -> None:
-        if self.modulus.ctx != self.field:
+    def __init__(self, field: FieldCtx, modulus: Polynomial):
+        if modulus.ctx != field:
             raise ContextMismatch("modulus from a different field")
-        if self.field.m != 1 or self.modulus.coeffs[-1:] != (1,):
+        if field.m != 1 or modulus.coeffs[-1:] != (1,):
             raise DomainError("residue rings need a prime field and a monic modulus")
-        if self.modulus.degree < 1:
+        if modulus.degree < 1:
             raise DomainError("modulus must have degree >= 1")
+        _set(self, "field", field)
+        _set(self, "modulus", modulus)
 
     @classmethod
     def linear_power(cls, field: FieldCtx, alpha: int, delta: int) -> "ResidueCtx":
@@ -538,12 +534,22 @@ class ResidueCtx:
                 yield UnitResidue(self, coeffs)
 
 
-@dataclass(frozen=True)
-class UnitResidue:
+class UnitResidue(Value):
     """A unit of a residue ring, stored as its reduced representative."""
 
-    rctx: ResidueCtx
-    coeffs: tuple[int, ...]  # fixed length = modulus degree, low-first
+    __slots__ = ("rctx", "coeffs")
+
+    def __init__(self, rctx: ResidueCtx, coeffs: tuple[int, ...]):
+        _set(self, "rctx", rctx)
+        _set(self, "coeffs", coeffs)  # fixed length = modulus degree, low-first
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rctx, self.coeffs) == (other.rctx, other.coeffs)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rctx, self.coeffs))
 
     @property
     def code(self) -> int:

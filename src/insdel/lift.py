@@ -5,10 +5,11 @@ from __future__ import annotations
 import math
 import os
 
-from .errors import DomainError
+from .errors import DomainError, ScaleCapExceeded
 from .words import CWL1, INSDEL, Code, code_min_distance, psi
 
 DEFAULT_PAIR_CAP = 10**7
+SYMBOL_CAP = 10**7  # symbols of the lifted code, size times n
 PAIR_CAP_ENV = "INSDEL_MAX_PAIRS"
 
 
@@ -33,11 +34,16 @@ def lift(code: Code, max_pairs: int | None = None) -> tuple[Code, dict]:
     the lifted code inherits the source's minimum distance. The inherited
     distance is re-verified by an exhaustive pairwise sweep whenever the
     pair count fits the cap; otherwise the report flags it as inherited
-    but unverified.
+    but unverified. A lifted code past SYMBOL_CAP symbols is refused
+    before any word is built.
     """
     if code.kind != CWL1:
         raise DomainError("lift expects a CWL1 code")
     cap = pair_cap() if max_pairs is None else max_pairs
+    if len(code) * code.n > SYMBOL_CAP:
+        raise ScaleCapExceeded(
+            f"{len(code)} lifted words of length {code.n} exceed the cap of {SYMBOL_CAP} symbols"
+        )
     lifted = Code(code.q, code.n, tuple(psi(a) for a in code.members), kind=INSDEL)
     npairs = len(lifted) * (len(lifted) - 1) // 2
     report: dict = {"size": len(lifted), "pairs": npairs}

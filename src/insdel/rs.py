@@ -10,10 +10,10 @@ certificate algorithm exhibiting two codewords at insdel distance at most
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import DomainError, ScaleCapExceeded
 from .gf import FieldCtx, Matrix, Polynomial, det, field_make, next_prime, nullspace
+from .value import Value, _set
 from .words import closest_pair, lcs_length_raw
 
 EXHAUSTIVE_CAP = 10**4  # max q^k codewords for the exhaustive sweep
@@ -21,21 +21,20 @@ EXHAUSTIVE_CAP = 10**4  # max q^k codewords for the exhaustive sweep
 ALL_FIXED = "all"
 
 
-@dataclass(frozen=True)
-class RsCode:
+class RsCode(Value):
     """Evaluations of all polynomials of degree < k at n distinct points."""
 
-    ctx: FieldCtx
-    alphas: tuple[int, ...]
-    k: int
+    __slots__ = ("ctx", "alphas", "k")
 
-    def __post_init__(self) -> None:
-        alphas = tuple(self.ctx.check(a) for a in self.alphas)
-        object.__setattr__(self, "alphas", alphas)
+    def __init__(self, ctx: FieldCtx, alphas: tuple[int, ...], k: int):
+        alphas = tuple(ctx.check(a) for a in alphas)
         if len(set(alphas)) != len(alphas):
             raise DomainError("evaluation points must be pairwise distinct")
-        if not 1 <= self.k <= len(alphas):
-            raise DomainError(f"need 1 <= k <= n, got k={self.k}, n={len(alphas)}")
+        if not 1 <= k <= len(alphas):
+            raise DomainError(f"need 1 <= k <= n, got k={k}, n={len(alphas)}")
+        _set(self, "ctx", ctx)
+        _set(self, "alphas", alphas)
+        _set(self, "k", k)
 
     @property
     def n(self) -> int:
@@ -61,20 +60,20 @@ def _encode_coeffs(ctx: FieldCtx, alphas, coeffs) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(Value):
     """The map x -> ax + b with a != 0; acts on the point at alpha by
     alpha -> a^(-1)(alpha - b)."""
 
-    ctx: FieldCtx
-    a: int
-    b: int
+    __slots__ = ("ctx", "a", "b")
 
-    def __post_init__(self) -> None:
-        self.ctx.check(self.a)
-        self.ctx.check(self.b)
-        if self.a == 0:
+    def __init__(self, ctx: FieldCtx, a: int, b: int):
+        ctx.check(a)
+        ctx.check(b)
+        if a == 0:
             raise DomainError("affine map needs a != 0")
+        _set(self, "ctx", ctx)
+        _set(self, "a", a)
+        _set(self, "b", b)
 
     def is_identity(self) -> bool:
         return self.a == 1 and self.b == 0

@@ -10,7 +10,6 @@ corresponding sorted words.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .errors import (
     AlphabetMismatch,
@@ -18,6 +17,7 @@ from .errors import (
     LengthMismatch,
     UndefinedDistance,
 )
+from .value import Value, _set
 
 INSDEL = "INSDEL"
 CWL1 = "CWL1"
@@ -25,24 +25,52 @@ HAMMING = "HAMMING"
 L1 = "L1"
 
 
-@dataclass(frozen=True, order=True)
-class Word:
+class Word(Value):
     """An immutable word over the alphabet {0, ..., q-1}.
 
     Length zero is allowed; intermediate computations use short words even
     though codes require uniform length.
     """
 
-    q: int
-    symbols: tuple[int, ...]
+    __slots__ = ("q", "symbols")
 
-    def __post_init__(self) -> None:
-        if self.q < 2:
-            raise DomainError(f"alphabet size must be >= 2, got {self.q}")
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        for s in self.symbols:
-            if not 0 <= s < self.q:
-                raise DomainError(f"symbol {s} out of range [0, {self.q - 1}]")
+    def __init__(self, q: int, symbols: tuple[int, ...]):
+        if q < 2:
+            raise DomainError(f"alphabet size must be >= 2, got {q}")
+        symbols = tuple(symbols)
+        for s in symbols:
+            if not 0 <= s < q:
+                raise DomainError(f"symbol {s} out of range [0, {q - 1}]")
+        _set(self, "q", q)
+        _set(self, "symbols", symbols)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.q, self.symbols) == (other.q, other.symbols)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.q, self.symbols))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.q, self.symbols) < (other.q, other.symbols)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.q, self.symbols) <= (other.q, other.symbols)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.q, self.symbols) > (other.q, other.symbols)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.q, self.symbols) >= (other.q, other.symbols)
+        return NotImplemented
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -52,24 +80,50 @@ class Word:
         return len(self.symbols)
 
 
-@dataclass(frozen=True, order=True)
-class Composition:
+class Composition(Value):
     """A point of the Johnson space: q nonnegative counts with a fixed sum."""
 
-    q: int
-    counts: tuple[int, ...]
+    __slots__ = ("q", "counts")
 
-    def __post_init__(self) -> None:
-        if self.q < 1:
-            raise DomainError(f"bin count must be >= 1, got {self.q}")
-        object.__setattr__(self, "counts", tuple(self.counts))
-        if len(self.counts) != self.q:
-            raise DomainError(
-                f"expected {self.q} bins, got {len(self.counts)}"
-            )
-        for c in self.counts:
+    def __init__(self, q: int, counts: tuple[int, ...]):
+        if q < 1:
+            raise DomainError(f"bin count must be >= 1, got {q}")
+        counts = tuple(counts)
+        if len(counts) != q:
+            raise DomainError(f"expected {q} bins, got {len(counts)}")
+        for c in counts:
             if c < 0:
                 raise DomainError(f"negative count {c}")
+        _set(self, "q", q)
+        _set(self, "counts", counts)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.q, self.counts) == (other.q, other.counts)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.q, self.counts))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.q, self.counts) < (other.q, other.counts)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.q, self.counts) <= (other.q, other.counts)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.q, self.counts) > (other.q, other.counts)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.q, self.counts) >= (other.q, other.counts)
+        return NotImplemented
 
     @property
     def weight(self) -> int:
@@ -160,39 +214,32 @@ def psi(a: Composition) -> Word:
     return Word(a.q, tuple(symbols))
 
 
-@dataclass(frozen=True)
-class Code:
+class Code(Value):
     """A set of distinct equal-length words (INSDEL) or equal-weight
     compositions (CWL1)."""
 
-    q: int
-    n: int
-    members: tuple = field(default_factory=tuple)
-    kind: str = INSDEL
+    __slots__ = ("q", "n", "members", "kind")
 
-    def __post_init__(self) -> None:
-        if self.kind not in (INSDEL, CWL1):
-            raise DomainError(f"unknown code kind {self.kind!r}")
-        members = tuple(self.members)
-        object.__setattr__(self, "members", members)
+    def __init__(self, q: int, n: int, members: tuple = (), kind: str = INSDEL):
+        if kind not in (INSDEL, CWL1):
+            raise DomainError(f"unknown code kind {kind!r}")
+        members = tuple(members)
         if len(set(members)) != len(members):
             raise DomainError("code members must be distinct")
         for m in members:
-            if self.kind == INSDEL:
-                if not isinstance(m, Word) or m.q != self.q or len(m) != self.n:
-                    raise DomainError(f"bad member {m!r} for INSDEL({self.q},{self.n})")
+            if kind == INSDEL:
+                if not isinstance(m, Word) or m.q != q or len(m) != n:
+                    raise DomainError(f"bad member {m!r} for INSDEL({q},{n})")
             else:
-                if not isinstance(m, Composition) or m.q != self.q or m.weight != self.n:
-                    raise DomainError(f"bad member {m!r} for CWL1({self.q},{self.n})")
+                if not isinstance(m, Composition) or m.q != q or m.weight != n:
+                    raise DomainError(f"bad member {m!r} for CWL1({q},{n})")
+        _set(self, "q", q)
+        _set(self, "n", n)
+        _set(self, "members", members)
+        _set(self, "kind", kind)
 
     def __len__(self) -> int:
         return len(self.members)
-
-
-_PAIR_METRICS = {
-    HAMMING: hamming_distance,
-    L1: l1_distance,
-}
 
 
 def code_min_distance(code: Code, metric: str):
@@ -200,9 +247,9 @@ def code_min_distance(code: Code, metric: str):
 
     Pairs are swept in lexicographic member order so the reported witness
     is reproducible. INSDEL codes go through ``closest_pair``, the packed
-    LCS kernel, in that same order.
+    LCS kernel, and L1 through ``_closest_l1``, in that same order.
     """
-    if metric != INSDEL and metric not in _PAIR_METRICS:
+    if metric not in (INSDEL, HAMMING, L1):
         raise DomainError(f"unknown metric {metric!r}")
     if metric == L1 and code.kind != CWL1:
         raise DomainError("L1 metric requires a CWL1 code")
@@ -215,13 +262,38 @@ def code_min_distance(code: Code, metric: str):
         words = [m.symbols for m in members]
         low, i, j = closest_pair(words, code.n, range(len(words) - 1), upper=True)
         return 2 * low, (members[i], members[j])
-    dist = _PAIR_METRICS[metric]
+    if metric == L1:
+        return _closest_l1(members)
     best = None
     witness = None
     for u, v in itertools.combinations(members, 2):
-        d = dist(u, v)
+        d = hamming_distance(u, v)
         if best is None or d < best:
             best, witness = d, (u, v)
+    return best, witness
+
+
+def _closest_l1(members):
+    """Least L1 distance over pairs of sorted equal-weight compositions,
+    with the first pair (i < j in member order) reaching it.
+
+    Sorting puts the first counts in ascending order. Two compositions of
+    one weight move as many units out of bins as into them, so their L1
+    distance is at least 2 * (b[0] - a[0]). Once that bound reaches the
+    best distance so far, no later partner of a can beat it, nor tie it
+    first, and the row stops: the result is the full sweep's.
+    """
+    counts = [m.counts for m in members]
+    best, witness = None, None
+    for i, a in enumerate(counts):
+        a0 = a[0]
+        for j in range(i + 1, len(counts)):
+            b = counts[j]
+            if best is not None and 2 * (b[0] - a0) >= best:
+                break
+            d = l1_distance_raw(a, b)
+            if best is None or d < best:
+                best, witness = d, (members[i], members[j])
     return best, witness
 
 

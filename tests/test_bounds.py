@@ -74,6 +74,30 @@ class TestLevenshteinLower:
         with pytest.raises(DomainError):
             levenshtein_lower_bound(2, 3, 8)
 
+    def test_matches_binomial_sum(self):
+        for q in range(2, 7):
+            for n in range(1, 13):
+                for d in range(2, 2 * n + 1, 2):
+                    ball = sum(math.comb(n, i) * (q - 1) ** i for i in range(d // 2 + 1))
+                    assert levenshtein_lower_bound(q, n, d) == Fraction(q ** (n + d // 2), ball**2)
+
+    def test_long_words_at_full_distance(self):
+        # q^n just fits the 4300-digit limit; the ball has n/2 + 1 terms.
+        start = time.monotonic()
+        assert levenshtein_lower_bound(2, 14284, 28568) == 1
+        assert levenshtein_lower_bound(3, 9000, 9000) > 0
+        assert time.monotonic() - start < 2
+
+
+class TestFormulaDigitCap:
+    @pytest.mark.parametrize("fn", [singleton_bound, size_upper_bound, levenshtein_lower_bound])
+    def test_refuses_q_to_the_n_past_the_digit_limit(self, fn):
+        # 2^14284 has 4300 digits, 2^14285 has 4301.
+        for q, n in ((2, 14285), (2, 99999999999), (99999999999, 99999999999)):
+            with pytest.raises(ScaleCapExceeded, match="decimal digits"):
+                fn(q, n, 2 * n)
+        fn(2, 14284, 2 * 14284)
+
 
 class TestDistanceDropThreshold:
     def test_reference_case(self):
@@ -404,6 +428,22 @@ class TestCounterexample:
     def test_rejects_long_words(self):
         with pytest.raises(DomainError):
             counterexample_code(3, 4)
+
+    def test_cell_budget_before_any_word(self, monkeypatch):
+        # 4096 * 4097 / 2 pairs of length-64 words: 3.4e10 LCS cells.
+        monkeypatch.delenv("INSDEL_MAX_PAIRS", raising=False)
+        monkeypatch.setattr(bounds, "Word", None)
+        for q, n in ((4096, 64), (4096, 4), (116, 116)):
+            with pytest.raises(ScaleCapExceeded, match="LCS cells"):
+                counterexample_code(q, n)
+
+    def test_cell_budget_boundary(self, monkeypatch):
+        # q = n = 4: 10 pairs of 16 cells, 160 cells; the budget is 9 a pair.
+        monkeypatch.setenv("INSDEL_MAX_PAIRS", "18")
+        assert counterexample_code(4, 4)[1]["min_insdel"] == 6
+        monkeypatch.setenv("INSDEL_MAX_PAIRS", "17")
+        with pytest.raises(ScaleCapExceeded, match="160 LCS cells, past the budget 153"):
+            counterexample_code(4, 4)
 
     def test_pair_cap_before_any_word(self, monkeypatch):
         # 4471 * 4472 / 2 <= 10^7 < 4472 * 4473 / 2.

@@ -1,11 +1,12 @@
-"""Hypothesis fuzz of the CLI's argv for exact-iq, construct-l1,
-counterexample and verify-rs2.
+"""Hypothesis fuzz of the CLI: the argv of all eleven subcommands, and
+the bytes of the code files that code-distance and lift read.
 
 Integers come from negatives, 0, small values and huge ones (10^11, and
-n = 4096 for exact-iq). Every call must exit 0, 1, 2 or 64, print at most
-one stderr line and no traceback, and return within two seconds. The pools
-keep the parameters that pass every cap small enough to finish in that
-time; exact-iq always runs with a budget.
+n = 4096 for exact-iq). Code files are drawn as valid codes, as headers
+with rows of drawn integers, and as raw bytes. Every call must exit 0, 1,
+2 or 64, print at most one stderr line and no traceback, and return
+within two seconds. The pools keep the parameters that pass every cap
+small enough to finish in that time; exact-iq always runs with a budget.
 
 The calls run in one worker interpreter with a 1 GiB address-space limit,
 so a call that tries to form a huge integer fails with MemoryError instead
@@ -117,23 +118,29 @@ EXACT_IQ = _argv(
     },
 )
 
-# No n = 10^4 here: q = 2, n = 10^4 passes the enumeration cap and then
-# verifies a fibre of about 5000 compositions pairwise, far past the limit.
+CONSTRUCT_L1_OPTIONS = {"--r": _ints(-1, 0, 2, 7, HUGE, PRIME), "--alpha": _ints(-1, 0, 1, HUGE)}
+
 CONSTRUCT_L1 = _argv(
     "construct-l1",
     {
         "--q": _ints(-1, 0, 1, 2, 3, 5, 10**4, HUGE),
-        "--n": _ints(-1, 0, 1, 2, 3, 8, HUGE),
-        "--delta": _ints(-1, 0, 1, 2, 3, HUGE),
+        "--n": _ints(-1, 0, 1, 2, 3, 8, 10**4, HUGE),
+        "--delta": _ints(-1, 0, 1, 2, 3, 400, HUGE),
     },
-    {"--r": _ints(-1, 0, 2, 7, HUGE, PRIME), "--alpha": _ints(-1, 0, 1, HUGE)},
+    CONSTRUCT_L1_OPTIONS,
 )
 
-# No q = 4096 here: its 4097 words pass the pair cap and take seconds to
-# verify.
+# n = 400 is drawn with q = 2 only: q = 3, n = 400 passes every cap (80601
+# compositions) and buckets for 1.4 to 5 s.
+CONSTRUCT_L1_RING_DEGREE = _argv(
+    "construct-l1",
+    {"--q": _ints(2), "--n": _ints(400), "--delta": _ints(-1, 2, 3, 400, HUGE)},
+    CONSTRUCT_L1_OPTIONS,
+)
+
 COUNTEREXAMPLE = _argv(
     "counterexample",
-    {"--q": _ints(-1, 0, 1, 2, 3, 5, 64, HUGE), "--n": _ints(-1, 0, 1, 2, 3, 5, 64, HUGE)},
+    {"--q": _ints(-1, 0, 1, 2, 3, 5, 64, 4096, HUGE), "--n": _ints(-1, 0, 1, 2, 3, 5, 64, HUGE)},
 )
 
 VERIFY_RS2 = _argv(
@@ -149,9 +156,61 @@ VERIFY_RS2 = _argv(
 )
 
 
-@given(st.one_of(EXACT_IQ, CONSTRUCT_L1, COUNTEREXAMPLE, VERIFY_RS2))
-@settings(max_examples=200, deadline=None)
-def test_every_call_ends_in_an_exit_code(worker, argv):
+SYMBOLS = st.lists(st.sampled_from([-1, 0, 1, 2, 3, 5, HUGE]), max_size=12)
+
+
+def _csv(pool):
+    return pool.map(lambda xs: ",".join(map(str, xs)))
+
+
+DIST = _argv(
+    "dist",
+    {
+        "--q": _ints(-1, 0, 1, 2, 3, HUGE),
+        "--u": st.one_of(_csv(SYMBOLS), st.sampled_from(["1,,2", "x", "1.5", "0," * 4096])),
+        "--v": _csv(SYMBOLS),
+    },
+    flags=("--json",),
+)
+
+# n stops at 12 and extension fields at GF(1024): --n 16 (3.5 s), --n 22
+# (32 s) and --n 12 --q 1048576 (over 20 s) pass every cap.
+CONSTRUCT_RS2 = _argv(
+    "construct-rs2",
+    {"--n": _ints(-1, 0, 1, 3, 4, 5, 8, 12, HUGE)},
+    {"--q": _ints(-1, 0, 1, 2, 4, 7, 16, 64, 1024, HUGE, PRIME)},
+    flags=("--json",),
+)
+
+WITNESS_RS = _argv(
+    "witness-rs",
+    {
+        "--q": _ints(-1, 0, 1, 2, 4, 7, 16, 64, 1048573, HUGE, PRIME),
+        "--k": _ints(-1, 0, 1, 2, 3, 4, 5, HUGE),
+        "--alphas": _csv(
+            st.one_of(
+                SYMBOLS,
+                st.integers(0, 17).map(lambda n: list(range(n))),
+            )
+        ),
+    },
+    flags=("--json",),
+)
+
+BOUNDS = _argv(
+    "bounds",
+    {
+        "--q": _ints(-1, 0, 1, 2, 3, 64, HUGE),
+        "--n": _ints(-1, 0, 1, 2, 8, 4096, 14284, HUGE),
+        "--d": _ints(-1, 0, 2, 3, 4, 16, 8192, 28568, HUGE),
+    },
+    flags=("--json",),
+)
+
+SELFTEST = _argv("selftest", {}, flags=("--json",))
+
+
+def _check_call(worker, argv):
     start = time.monotonic()
     result = worker.run(argv)
     elapsed = time.monotonic() - start
@@ -161,3 +220,90 @@ def test_every_call_ends_in_an_exit_code(worker, argv):
     assert "Traceback" not in stderr, (argv, stderr)
     assert stderr.count("\n") <= 1, (argv, stderr)
     assert elapsed <= SECONDS, (argv, elapsed)
+
+
+@given(
+    st.one_of(
+        EXACT_IQ,
+        CONSTRUCT_L1,
+        CONSTRUCT_L1_RING_DEGREE,
+        COUNTEREXAMPLE,
+        VERIFY_RS2,
+        DIST,
+        CONSTRUCT_RS2,
+        WITNESS_RS,
+        BOUNDS,
+        SELFTEST,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_every_call_ends_in_an_exit_code(worker, argv):
+    _check_call(worker, argv)
+
+
+def _code_text(kind, q, n, rows):
+    return f"{kind} {q} {n} {len(rows)}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows)
+
+
+@st.composite
+def _valid_code(draw):
+    """Text of a valid INSDEL or CWL1 code."""
+    q = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        row = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+        return _code_text("INSDEL", q, n, draw(st.lists(row, max_size=12, unique_by=tuple)))
+    row = st.lists(st.integers(0, n), min_size=q - 1, max_size=q - 1).filter(lambda c: sum(c) <= n)
+    counts = draw(st.lists(row, max_size=12, unique_by=tuple))
+    return _code_text("CWL1", q, n, [c + [n - sum(c)] for c in counts])
+
+
+CODE_TEXT = st.one_of(
+    _valid_code(),
+    st.builds(
+        _code_text,
+        st.sampled_from(["INSDEL", "CWL1", "XYZ"]),
+        st.sampled_from([-1, 0, 1, 2, 3, HUGE]),
+        st.sampled_from([-1, 0, 1, 2, 3, HUGE]),
+        st.lists(SYMBOLS, max_size=4),
+    ),
+)
+CODE_BYTES = st.one_of(
+    CODE_TEXT.map(str.encode),
+    CODE_TEXT.map(lambda t: "# comment\n\n" + t.replace("\n", "\r\n")).map(str.encode),
+    st.binary(max_size=64),
+)
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(
+    data=CODE_BYTES,
+    command=st.one_of(
+        st.tuples(
+            st.just("code-distance"),
+            st.sampled_from([(), ("--metric", "INSDEL"), ("--metric", "L1"), ("--metric", "HAMMING")]),
+        ),
+        st.tuples(
+            st.just("lift"),
+            st.sampled_from([("--out", "{out}"), ("--out", "{out}", "--verify"), ("--out", "{dir}")]),
+        ),
+    ),
+    source=st.sampled_from(["{in}", "{in}", "{missing}", "{dir}"]),
+    as_json=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_every_code_file_ends_in_an_exit_code(worker, files, data, command, source, as_json):
+    (files / "in.txt").write_bytes(data)
+    paths = {
+        "{in}": files / "in.txt",
+        "{out}": files / "out.txt",
+        "{missing}": files / "missing.txt",
+        "{dir}": files,
+    }
+    name, options = command
+    argv = [name, "--in", source, *options] + (["--json"] if as_json else [])
+    _check_call(worker, [str(paths.get(a, a)) for a in argv])

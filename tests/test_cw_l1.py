@@ -1,10 +1,12 @@
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from insdel import cw_l1
 from insdel.cw_l1 import (
     ENUMERATION_CAP,
     L1ConstructionSpec,
@@ -152,6 +154,42 @@ class TestConstruction:
                 assert _composition_count(n, q, total - 1) is None
         assert _composition_count(10**11, 10**11, ENUMERATION_CAP) is None
 
+    def test_verification_stops_at_the_pair_cap(self, monkeypatch):
+        spec = L1ConstructionSpec(q=3, n=6, delta=2)
+        _, full = construct_l1(spec)
+        pairs = full["size"] * (full["size"] - 1) // 2
+        monkeypatch.setenv("INSDEL_MAX_PAIRS", str(pairs))
+        assert construct_l1(spec)[1] == full
+        monkeypatch.setenv("INSDEL_MAX_PAIRS", str(pairs - 1))
+        monkeypatch.setattr(cw_l1, "code_min_distance", None)
+        code, report = construct_l1(spec)
+        assert report == {**full, "verified_min_l1": None, "note": "min L1 >= 4 guaranteed, unverified"}
+        assert len(code) == full["size"]
+
+    def test_long_weight_past_the_pair_cap_is_not_verified(self):
+        # 10001 compositions; the fibre of 5001 has 12.5 million pairs.
+        start = time.monotonic()
+        _, report = construct_l1(L1ConstructionSpec(q=2, n=10**4, delta=2))
+        assert time.monotonic() - start < 5
+        assert report["size"] == 5001
+        assert report["verified_min_l1"] is None
+        assert report["note"] == "min L1 >= 4 guaranteed, unverified"
+
+    def test_ring_degree_cap_before_bucketing(self, monkeypatch):
+        monkeypatch.setattr(cw_l1, "_unit_map", None)
+        # 401 compositions times 399^2 ring steps.
+        with pytest.raises(ScaleCapExceeded, match="delta=400"):
+            construct_l1(L1ConstructionSpec(q=2, n=400, delta=400))
+
+    def test_ring_degree_cap_boundary(self, monkeypatch):
+        # q=2, n=5: 6 compositions times (3-1)^2 = 24 ring steps.
+        spec = L1ConstructionSpec(q=2, n=5, delta=3)
+        monkeypatch.setattr(cw_l1, "ENUMERATION_CAP", 24)
+        assert construct_l1(spec)[1]["size"] >= 1
+        monkeypatch.setattr(cw_l1, "ENUMERATION_CAP", 23)
+        with pytest.raises(ScaleCapExceeded, match="6 compositions times"):
+            construct_l1(spec)
+
     def test_deterministic(self):
         spec = L1ConstructionSpec(q=3, n=5, delta=2)
         first, r1 = construct_l1(spec)
@@ -198,6 +236,11 @@ REFERENCE_GRID = [
     L1ConstructionSpec(q=3, n=7, delta=4),
     L1ConstructionSpec(q=4, n=6, delta=5, alpha=3),
     L1ConstructionSpec(q=5, n=6, delta=3, r=11, alpha=7),
+    # Counts past the unit group's order (6, 4 and 3), which the unit map
+    # reduces before taking powers.
+    L1ConstructionSpec(q=2, n=13, delta=3),
+    L1ConstructionSpec(q=3, n=9, delta=2, alpha=3),
+    L1ConstructionSpec(q=2, n=7, delta=3, irreducible_modulus=(1, 1, 1)),
     L1ConstructionSpec(
         q=3, n=5, delta=3, r=3, alphas=(0, 1, 2), irreducible_modulus=(1, 0, 1)
     ),

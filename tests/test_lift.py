@@ -1,11 +1,15 @@
+import importlib
 import math
 
 import pytest
 
 from insdel.cw_l1 import L1ConstructionSpec, construct_l1
-from insdel.errors import DomainError
+from insdel.errors import DomainError, ScaleCapExceeded
 from insdel.lift import guarantee_report, lift, pair_cap
 from insdel.words import CWL1, INSDEL, Code, Composition, Word, code_min_distance, psi
+
+# The package re-exports the function ``lift`` over its module name.
+lift_module = importlib.import_module("insdel.lift")
 
 
 def small_cwl1_code():
@@ -50,6 +54,17 @@ class TestLift:
         assert report["min_insdel"] is None
         assert report["note"] == "inherited, unverified"
         assert len(lifted) == 2
+
+    def test_symbol_cap_before_any_word(self, monkeypatch):
+        heavy = Code(2, 10**11, (Composition(2, (10**11, 0)),), kind=CWL1)
+        with pytest.raises(ScaleCapExceeded, match="10000000 symbols"):
+            lift(heavy)
+        # Two words of length 3.
+        monkeypatch.setattr(lift_module, "SYMBOL_CAP", 6)
+        assert lift(small_cwl1_code())[1]["size"] == 2
+        monkeypatch.setattr(lift_module, "SYMBOL_CAP", 5)
+        with pytest.raises(ScaleCapExceeded):
+            lift(small_cwl1_code())
 
     def test_env_cap(self, monkeypatch):
         monkeypatch.setenv("INSDEL_MAX_PAIRS", "123")

@@ -12,6 +12,7 @@ from insdel.words import (
     _BLOCK_BYTES,
     CWL1,
     INSDEL,
+    L1,
     Code,
     Composition,
     PackedWords,
@@ -222,6 +223,46 @@ def _pairwise_min_distance(members):
         if best is None or d < best:
             best, witness = d, (u, v)
     return best, witness
+
+
+def _pairwise_min_l1(members):
+    """The full pairwise L1 sweep that code_min_distance ran before the
+    sorted sweep with the first-bin bound."""
+    best = witness = None
+    for a, b in itertools.combinations(sorted(members), 2):
+        d = l1_distance(a, b)
+        if best is None or d < best:
+            best, witness = d, (a, b)
+    return best, witness
+
+
+CWL1_CODES = st.integers(1, 4).flatmap(
+    lambda q: st.integers(0, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(0, n), min_size=q, max_size=q),
+            min_size=2,
+            max_size=25,
+            unique_by=tuple,
+        ).map(lambda rows: [r[:-1] + [n - sum(r[:-1])] for r in rows if sum(r[:-1]) <= n])
+        .filter(lambda rows: len({tuple(r) for r in rows}) == len(rows) >= 2)
+        .map(lambda rows: Code(q, n, tuple(Composition(q, tuple(r)) for r in rows), kind=CWL1))
+    )
+)
+
+
+class TestL1Sweep:
+    @given(CWL1_CODES)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_pairwise_sweep(self, code):
+        # Small weights tie often, so the first witness is checked too.
+        assert code_min_distance(code, L1) == _pairwise_min_l1(code.members)
+
+    def test_tied_minimum_keeps_first_pair(self):
+        # Three pairs tie at 4; the sweep must not stop on the later ones.
+        members = tuple(Composition(3, c) for c in [(2, 2, 0), (0, 2, 2), (0, 4, 0), (2, 0, 2), (4, 0, 0)])
+        d, witness = code_min_distance(Code(3, 4, members, kind=CWL1), L1)
+        assert (d, witness) == _pairwise_min_l1(members)
+        assert (d, witness) == (4, (Composition(3, (0, 2, 2)), Composition(3, (0, 4, 0))))
 
 
 def _pairwise_closest(words, rows, upper):
