@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 
 from .errors import DomainError, ScaleCapExceeded
-from .lift import PAIR_CAP_ENV, pair_cap
+from .lift import PAIR_CAP_ENV, pair_cap, verification_refusal
 from .words import (
     INSDEL,
     Code,
@@ -363,18 +363,14 @@ def verify_support_structure(code: Code, k: int):
     return ok, full_counts
 
 
-CELLS_PER_PAIR = 9  # LCS cells of one pair of length-3 words
-
-
 def counterexample_code(q: int, n: int) -> tuple[Code, dict]:
     """The q constant words plus one all-distinct word: size q+1 at insdel
     distance 2n-2, beating the q^(n-d/2) power bound.
 
     The distance is verified over all pairs, so q(q+1)/2 must not pass
-    ``pair_cap()``, and their LCS cells, n^2 a pair, must not pass the
-    cells of that many pairs at n = 3 (CELLS_PER_PAIR). At n <= 3 the pair
-    cap alone decides; q = 4471, n = 3, the largest q it admits, verifies
-    in under a second."""
+    ``pair_cap()``, and their LCS cells, n^2 a pair, must fit the budget of
+    ``verification_refusal``. At n <= 3 the pair cap alone decides; q = 4471,
+    n = 3, the largest q it admits, verifies in under a second."""
     if n > q:
         raise DomainError(f"need n <= q, got n={n}, q={q}")
     if n < 2:
@@ -385,11 +381,9 @@ def counterexample_code(q: int, n: int) -> tuple[Code, dict]:
         raise ScaleCapExceeded(
             f"the q+1 words for q={q} give q(q+1)/2 verification pairs, past the cap {cap} ({PAIR_CAP_ENV})"
         )
-    if pairs * n * n > cap * CELLS_PER_PAIR:
-        raise ScaleCapExceeded(
-            f"{pairs} verification pairs of length-{n} words take {pairs * n * n} LCS cells, past the"
-            f" budget {cap * CELLS_PER_PAIR} ({CELLS_PER_PAIR} for each of the {cap} pairs of {PAIR_CAP_ENV})"
-        )
+    refusal = verification_refusal(pairs, n, cap)
+    if refusal:
+        raise ScaleCapExceeded(refusal)
     members = [Word(q, (a,) * n) for a in range(q)]
     members.append(Word(q, tuple(range(n))))
     code = Code(q, n, tuple(members))

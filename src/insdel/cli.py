@@ -8,6 +8,7 @@ switches every report to a single JSON document on stdout. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -24,7 +25,7 @@ from .bounds import (
 from .cw_l1 import L1ConstructionSpec, construct_l1
 from .errors import DomainError, InsdelError, ScaleCapExceeded
 from .gf import field_from_size
-from .lift import lift
+from .lift import lift, pair_cap, verification_refusal
 from .rs import (
     RsCode,
     check_rs2_criterion,
@@ -75,18 +76,6 @@ def _seconds(text: str) -> float:
     return value
 
 
-def _base_parser(name: str) -> _Parser:
-    p = _Parser(prog=f"insdel {name}", add_help=True)
-    p.add_argument("--json", action="store_true", help="emit one JSON document")
-    p.add_argument(
-        "--threads",
-        type=_thread_count,
-        default=1,
-        help="worker cap for sweeps; results are independent of it",
-    )
-    return p
-
-
 def _jsonable(value):
     if isinstance(value, Fraction):
         return {"numerator": str(value.numerator), "denominator": str(value.denominator)}
@@ -135,12 +124,7 @@ def _int_list(text: str) -> tuple[int, ...]:
 # Subcommands.
 
 
-def _cmd_dist(argv):
-    p = _base_parser("dist")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--u", type=_int_list, required=True)
-    p.add_argument("--v", type=_int_list, required=True)
-    a = p.parse_args(argv)
+def _cmd_dist(a):
     d = insdel_distance(Word(a.q, a.u), Word(a.q, a.v))
     if a.json:
         _emit({"command": "dist", "q": a.q, "u": list(a.u), "v": list(a.v), "distance": d}, True)
@@ -149,11 +133,7 @@ def _cmd_dist(argv):
     return 0
 
 
-def _cmd_code_distance(argv):
-    p = _base_parser("code-distance")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--metric", choices=(INSDEL, "HAMMING", L1), default=None)
-    a = p.parse_args(argv)
+def _cmd_code_distance(a):
     code = codefile.load(a.infile)
     metric = a.metric or (L1 if code.kind == CWL1 else INSDEL)
     d, witness = code_min_distance(code, metric)
@@ -176,15 +156,7 @@ def _cmd_code_distance(argv):
     return 0
 
 
-def _cmd_construct_l1(argv):
-    p = _base_parser("construct-l1")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--r", type=int, default=0)
-    p.add_argument("--alpha", type=int, default=0)
-    p.add_argument("--out", default=None)
-    a = p.parse_args(argv)
+def _cmd_construct_l1(a):
     spec = L1ConstructionSpec(q=a.q, n=a.n, delta=a.delta, r=a.r, alpha=a.alpha)
     code, report = construct_l1(spec)
     if a.out:
@@ -194,33 +166,20 @@ def _cmd_construct_l1(argv):
     return 0
 
 
-def _cmd_lift(argv):
-    p = _base_parser("lift")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument(
-        "--verify",
-        action="store_true",
-        help="refuse (exit 2) instead of skipping the pairwise verification",
-    )
-    a = p.parse_args(argv)
+def _cmd_lift(a):
     code = codefile.load(a.infile)
     lifted, report = lift(code)
     if a.verify and not report["verified"]:
-        raise ScaleCapExceeded(
-            f"{report['pairs']} pairs exceed the verification cap"
-        )
+        if len(lifted) < 2:
+            raise DomainError(f"--verify needs a code of at least two members, got {len(lifted)}")
+        raise ScaleCapExceeded(verification_refusal(report["pairs"], lifted.n, pair_cap()))
     codefile.dump(lifted, a.out)
     report = {"command": "lift", "q": lifted.q, "n": lifted.n, **report}
     _emit(report, a.json)
     return 0
 
 
-def _cmd_construct_rs2(argv):
-    p = _base_parser("construct-rs2")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, default=0)
-    a = p.parse_args(argv)
+def _cmd_construct_rs2(a):
     ctx = field_from_size(a.q) if a.q else None
     code = construct_rs2(a.n, ctx)
     _emit(
@@ -236,13 +195,7 @@ def _cmd_construct_rs2(argv):
     return 0
 
 
-def _cmd_verify_rs2(argv):
-    p = _base_parser("verify-rs2")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alphas", type=_int_list, required=True)
-    p.add_argument("--exhaustive", action="store_true")
-    a = p.parse_args(argv)
+def _cmd_verify_rs2(a):
     if len(a.alphas) != a.n:
         raise DomainError(f"expected {a.n} evaluation points, got {len(a.alphas)}")
     code = RsCode(field_from_size(a.q), a.alphas, 2)
@@ -267,12 +220,7 @@ def _cmd_verify_rs2(argv):
     return 0
 
 
-def _cmd_witness_rs(argv):
-    p = _base_parser("witness-rs")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--alphas", type=_int_list, required=True)
-    a = p.parse_args(argv)
+def _cmd_witness_rs(a):
     code = RsCode(field_from_size(a.q), a.alphas, a.k)
     w = low_distance_witness(code, a.k)
     _emit(
@@ -295,14 +243,7 @@ def _cmd_witness_rs(argv):
     return 0
 
 
-def _cmd_exact_iq(argv):
-    p = _base_parser("exact-iq")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--max-seconds", type=_seconds, default=None)
-    p.add_argument("--out", default=None)
-    a = p.parse_args(argv)
+def _cmd_exact_iq(a):
     size, code = exact_iq(a.q, a.n, a.d, a.max_seconds)
     if a.out:
         codefile.dump(code, a.out)
@@ -320,12 +261,7 @@ def _cmd_exact_iq(argv):
     return 0
 
 
-def _cmd_bounds(argv):
-    p = _base_parser("bounds")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    a = p.parse_args(argv)
+def _cmd_bounds(a):
     upper, clause = size_upper_bound(a.q, a.n, a.d)
     lower = levenshtein_lower_bound(a.q, a.n, a.d)
     _emit(
@@ -345,12 +281,7 @@ def _cmd_bounds(argv):
     return 0
 
 
-def _cmd_counterexample(argv):
-    p = _base_parser("counterexample")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out", default=None)
-    a = p.parse_args(argv)
+def _cmd_counterexample(a):
     code, report = counterexample_code(a.q, a.n)
     if a.out:
         codefile.dump(code, a.out)
@@ -358,9 +289,7 @@ def _cmd_counterexample(argv):
     return 0
 
 
-def _cmd_selftest(argv):
-    p = _base_parser("selftest")
-    a = p.parse_args(argv)
+def _cmd_selftest(a):
     results = []
     for name, check in _selftest_checks():
         try:
@@ -468,6 +397,66 @@ def _selftest_checks():
     ]
 
 
+# Each subcommand's options, declared once: every parser takes --json and
+# --threads first, then its own options in the order --help lists them.
+_SHARED = {
+    "--json": {"action": "store_true", "help": "emit one JSON document"},
+    "--threads": {
+        "type": _thread_count,
+        "default": 1,
+        "help": "worker cap for sweeps; results are independent of it",
+    },
+}
+_INT = {"type": int, "required": True}
+_INTS = {"type": _int_list, "required": True}
+_OPTIONS = {
+    "dist": {"--q": _INT, "--u": _INTS, "--v": _INTS},
+    "code-distance": {
+        "--in": {"dest": "infile", "required": True},
+        "--metric": {"choices": (INSDEL, "HAMMING", L1), "default": None},
+    },
+    "construct-l1": {
+        "--q": _INT,
+        "--n": _INT,
+        "--delta": _INT,
+        "--r": {"type": int, "default": 0},
+        "--alpha": {"type": int, "default": 0},
+        "--out": {"default": None},
+    },
+    "lift": {
+        "--in": {"dest": "infile", "required": True},
+        "--out": {"required": True},
+        "--verify": {
+            "action": "store_true",
+            "help": "refuse (exit 2) instead of skipping the pairwise verification",
+        },
+    },
+    "construct-rs2": {"--n": _INT, "--q": {"type": int, "default": 0}},
+    "verify-rs2": {"--q": _INT, "--n": _INT, "--alphas": _INTS, "--exhaustive": {"action": "store_true"}},
+    "witness-rs": {"--q": _INT, "--k": _INT, "--alphas": _INTS},
+    "exact-iq": {
+        "--q": _INT,
+        "--n": _INT,
+        "--d": _INT,
+        "--max-seconds": {"type": _seconds, "default": None},
+        "--out": {"default": None},
+    },
+    "bounds": {"--q": _INT, "--n": _INT, "--d": _INT},
+    "counterexample": {"--q": _INT, "--n": _INT, "--out": {"default": None}},
+    "selftest": {},
+}
+
+
+@functools.cache
+def _parser(name: str) -> _Parser:
+    """The subcommand's parser, built on first use and kept: building one
+    costs several times what a parse does."""
+    p = _Parser(prog=f"insdel {name}", add_help=True)
+    for flag, spec in {**_SHARED, **_OPTIONS[name]}.items():
+        p.add_argument(flag, **spec)
+    return p
+
+
 _DISPATCH = {
     "dist": _cmd_dist,
     "code-distance": _cmd_code_distance,
@@ -493,7 +482,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"insdel: unknown subcommand {command!r}\n{USAGE}")
         return 64
     try:
-        return _DISPATCH[command](rest)
+        return _DISPATCH[command](_parser(command).parse_args(rest))
     except ScaleCapExceeded as exc:
         sys.stderr.write(f"insdel {command}: scale cap: {exc}\n")
         return 2

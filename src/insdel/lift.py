@@ -11,6 +11,7 @@ from .words import CWL1, INSDEL, Code, code_min_distance, psi
 DEFAULT_PAIR_CAP = 10**7
 SYMBOL_CAP = 10**7  # symbols of the lifted code, size times n
 PAIR_CAP_ENV = "INSDEL_MAX_PAIRS"
+CELLS_PER_PAIR = 9  # LCS cells of one pair of length-3 words
 
 
 def pair_cap() -> int:
@@ -27,15 +28,30 @@ def pair_cap() -> int:
     return cap
 
 
+def verification_refusal(pairs: int, n: int, cap: int) -> str | None:
+    """Why a pairwise LCS verification of ``pairs`` pairs of length-n words
+    does not fit, or None when it does: at most ``cap`` pairs, and at most
+    CELLS_PER_PAIR LCS cells for each of them, n^2 a pair. At n <= 3 the
+    pair cap alone decides."""
+    if pairs > cap:
+        return f"{pairs} pairs exceed the verification cap"
+    if pairs * n * n > cap * CELLS_PER_PAIR:
+        return (
+            f"{pairs} verification pairs of length-{n} words take {pairs * n * n} LCS cells, past the"
+            f" budget {cap * CELLS_PER_PAIR} ({CELLS_PER_PAIR} for each of the {cap} pairs of {PAIR_CAP_ENV})"
+        )
+    return None
+
+
 def lift(code: Code, max_pairs: int | None = None) -> tuple[Code, dict]:
     """Apply the sorted-word map memberwise.
 
     The map is injective and distance-preserving (L1 in, insdel out), so
     the lifted code inherits the source's minimum distance. The inherited
     distance is re-verified by an exhaustive pairwise sweep whenever the
-    pair count fits the cap; otherwise the report flags it as inherited
-    but unverified. A lifted code past SYMBOL_CAP symbols is refused
-    before any word is built.
+    code has two members and the sweep fits ``verification_refusal``;
+    otherwise the report flags it as inherited but unverified. A lifted
+    code past SYMBOL_CAP symbols is refused before any word is built.
     """
     if code.kind != CWL1:
         raise DomainError("lift expects a CWL1 code")
@@ -47,7 +63,7 @@ def lift(code: Code, max_pairs: int | None = None) -> tuple[Code, dict]:
     lifted = Code(code.q, code.n, tuple(psi(a) for a in code.members), kind=INSDEL)
     npairs = len(lifted) * (len(lifted) - 1) // 2
     report: dict = {"size": len(lifted), "pairs": npairs}
-    if len(lifted) >= 2 and npairs <= cap:
+    if len(lifted) >= 2 and verification_refusal(npairs, code.n, cap) is None:
         d, witness = code_min_distance(lifted, INSDEL)
         report["min_insdel"] = d
         report["witness"] = [list(w.symbols) for w in witness]

@@ -10,6 +10,7 @@ certificate algorithm exhibiting two codewords at insdel distance at most
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import DomainError, ScaleCapExceeded
 from .gf import FieldCtx, Matrix, Polynomial, det, field_make, next_prime, nullspace
@@ -17,6 +18,7 @@ from .value import Value, _set
 from .words import closest_pair, lcs_length_raw
 
 EXHAUSTIVE_CAP = 10**4  # max q^k codewords for the exhaustive sweep
+CONSTRUCT_STEP_CAP = 3 * 10**5  # construct_rs2_steps; n = 12 over a prime field fits, n = 13 does not
 
 ALL_FIXED = "all"
 
@@ -159,6 +161,19 @@ def rs2_field_threshold(n: int) -> int:
     return n * (n - 1) ** 2 * (n - 2) ** 2 // 4
 
 
+def construct_rs2_steps(n: int, ctx: FieldCtx) -> int:
+    """Work of ``construct_rs2(n, ctx)`` in map steps, each one affine map
+    built or applied. The greedy's step from m points builds C(m,2)^2 maps
+    and applies each to the m points and to its fixed point; the criterion
+    re-check builds and applies one map for each of at most C(n,3)^2 triple
+    pairs. Each step inverts one field element; over GF(p^e), e > 1, that
+    is a power of degree-e polynomials, so a step weighs
+    2e*bitlength(q) prime-field steps (measured from GF(64) to GF(2^20):
+    at most 10 % under the true ratio and at most 50 % over it)."""
+    steps = sum(math.comb(m, 2) ** 2 * (m + 2) for m in range(3, n)) + 2 * math.comb(n, 3) ** 2
+    return steps if ctx.m == 1 else steps * 2 * ctx.m * ctx.q.bit_length()
+
+
 def construct_rs2(n: int, ctx: FieldCtx | None = None) -> RsCode:
     """Greedy evaluation vector for a distance-(2n-4) dimension-2 code.
 
@@ -166,7 +181,8 @@ def construct_rs2(n: int, ctx: FieldCtx | None = None) -> RsCode:
     the smallest element avoiding every image and fixed point of the maps
     determined by pairs of already-chosen points. The full criterion is
     re-checked afterwards and a failure is an internal error, not a data
-    condition.
+    condition. Past CONSTRUCT_STEP_CAP steps of ``construct_rs2_steps`` it
+    refuses before the greedy starts.
     """
     threshold = rs2_field_threshold(n)
     if ctx is None:
@@ -174,6 +190,11 @@ def construct_rs2(n: int, ctx: FieldCtx | None = None) -> RsCode:
     if ctx.q <= threshold:
         raise DomainError(
             f"field size {ctx.q} does not exceed the threshold {threshold} for n={n}"
+        )
+    steps = construct_rs2_steps(n, ctx)
+    if steps > CONSTRUCT_STEP_CAP:
+        raise ScaleCapExceeded(
+            f"n={n} over {ctx} takes {steps} weighted affine-map steps, past the cap {CONSTRUCT_STEP_CAP}"
         )
     alphas: list[int] = [0, 1, 2]
     for _ in range(3, n):

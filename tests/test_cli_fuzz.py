@@ -173,12 +173,10 @@ DIST = _argv(
     flags=("--json",),
 )
 
-# n stops at 12 and extension fields at GF(1024): --n 16 (3.5 s), --n 22
-# (32 s) and --n 12 --q 1048576 (over 20 s) pass every cap.
 CONSTRUCT_RS2 = _argv(
     "construct-rs2",
-    {"--n": _ints(-1, 0, 1, 3, 4, 5, 8, 12, HUGE)},
-    {"--q": _ints(-1, 0, 1, 2, 4, 7, 16, 64, 1024, HUGE, PRIME)},
+    {"--n": _ints(-1, 0, 1, 3, 4, 5, 8, 12, 16, 22, HUGE)},
+    {"--q": _ints(-1, 0, 1, 2, 4, 7, 16, 64, 1024, 2**20, HUGE, PRIME)},
     flags=("--json",),
 )
 

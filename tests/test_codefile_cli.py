@@ -239,6 +239,29 @@ class TestCliPipelines:
         )
         assert result.returncode == 2
 
+    def test_lift_verify_needs_two_members(self, tmp_path):
+        src = tmp_path / "one.txt"
+        src.write_text("CWL1 2 3 1\n3 0\n")
+        out = str(tmp_path / "w.txt")
+        result = run_cli("lift", "--in", str(src), "--out", out, "--verify")
+        assert result.returncode == 1
+        assert result.stderr == "insdel lift: --verify needs a code of at least two members, got 1\n"
+        result = run_cli("lift", "--in", str(src), "--out", out, "--json")
+        assert result.returncode == 0
+        assert json.loads(result.stdout)["note"] == "inherited, unverified"
+
+    def test_lift_verify_past_cell_budget(self, tmp_path):
+        src = tmp_path / "long.txt"
+        src.write_text("CWL1 2 4 2\n4 0\n0 4\n")
+        out = str(tmp_path / "w.txt")
+        result = run_cli("lift", "--in", str(src), "--out", out, "--verify", env={"INSDEL_MAX_PAIRS": "1"})
+        assert result.returncode == 2
+        assert result.stderr.count("\n") == 1
+        assert "take 16 LCS cells, past the budget 9" in result.stderr
+        result = run_cli("lift", "--in", str(src), "--out", out, "--json", env={"INSDEL_MAX_PAIRS": "1"})
+        assert result.returncode == 0
+        assert json.loads(result.stdout)["verified"] is False
+
     def test_lift_malformed_env_cap_is_one(self, tmp_path):
         src = tmp_path / "l1.txt"
         run_cli("construct-l1", "--q", "2", "--n", "4", "--delta", "2", "--out", str(src))

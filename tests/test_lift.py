@@ -5,7 +5,7 @@ import pytest
 
 from insdel.cw_l1 import L1ConstructionSpec, construct_l1
 from insdel.errors import DomainError, ScaleCapExceeded
-from insdel.lift import guarantee_report, lift, pair_cap
+from insdel.lift import guarantee_report, lift, pair_cap, verification_refusal
 from insdel.words import CWL1, INSDEL, Code, Composition, Word, code_min_distance, psi
 
 # The package re-exports the function ``lift`` over its module name.
@@ -54,6 +54,40 @@ class TestLift:
         assert report["min_insdel"] is None
         assert report["note"] == "inherited, unverified"
         assert len(lifted) == 2
+
+    def test_cell_budget_before_any_lcs(self, monkeypatch):
+        # One pair of length-40000 words: 1.6e9 LCS cells, past 9 * 10^7.
+        monkeypatch.delenv("INSDEL_MAX_PAIRS", raising=False)
+        monkeypatch.setattr(lift_module, "code_min_distance", None)
+        code = Code(2, 40000, (Composition(2, (40000, 0)), Composition(2, (0, 40000))), kind=CWL1)
+        assert lift(code)[1] == {
+            "size": 2,
+            "pairs": 1,
+            "min_insdel": None,
+            "verified": False,
+            "note": "inherited, unverified",
+        }
+
+    def test_cell_budget_boundary(self):
+        # Two words of length 3 take 9 cells, the budget of one pair; two of
+        # length 4 take 16, past one pair's budget and inside two pairs'.
+        assert lift(small_cwl1_code(), max_pairs=1)[1]["verified"] is True
+        length_four = Code(2, 4, (Composition(2, (4, 0)), Composition(2, (1, 3))), kind=CWL1)
+        assert lift(length_four, max_pairs=1)[1]["verified"] is False
+        assert lift(length_four, max_pairs=2)[1]["min_insdel"] == 6
+        assert verification_refusal(1, 4, 2) is None
+        assert verification_refusal(1, 4, 1) == (
+            "1 verification pairs of length-4 words take 16 LCS cells, past the budget 9"
+            " (9 for each of the 1 pairs of INSDEL_MAX_PAIRS)"
+        )
+        assert verification_refusal(2, 1, 1) == "2 pairs exceed the verification cap"
+
+    def test_fewer_than_two_members_unverified(self):
+        for members in ((), (Composition(2, (3, 0)),)):
+            report = lift(Code(2, 3, members, kind=CWL1))[1]
+            assert report["pairs"] == 0
+            assert report["verified"] is False
+            assert report["note"] == "inherited, unverified"
 
     def test_symbol_cap_before_any_word(self, monkeypatch):
         heavy = Code(2, 10**11, (Composition(2, (10**11, 0)),), kind=CWL1)

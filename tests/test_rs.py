@@ -1,12 +1,15 @@
 import itertools
+import math
 import random
 
 import pytest
 
 from insdel.errors import DomainError, ScaleCapExceeded
-from insdel.gf import Matrix, Polynomial, det, field_from_size, field_make
+from insdel.gf import Matrix, Polynomial, det, field_from_size, field_make, next_prime
+import insdel.rs as rs
 from insdel.rs import (
     ALL_FIXED,
+    CONSTRUCT_STEP_CAP,
     EXHAUSTIVE_CAP,
     AffineMap,
     RsCode,
@@ -15,6 +18,7 @@ from insdel.rs import (
     affine_through,
     check_rs2_criterion,
     construct_rs2,
+    construct_rs2_steps,
     invertible_difference_indices,
     low_distance_witness,
     rs2_field_threshold,
@@ -210,6 +214,41 @@ class TestGreedyConstruction:
 
     def test_deterministic(self):
         assert construct_rs2(4).alphas == construct_rs2(4).alphas
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 8])
+    def test_steps_count_the_map_work(self, monkeypatch, n):
+        calls = []
+
+        def counting(name):
+            fn = getattr(rs, name)
+            return lambda *args: calls.append(name) or fn(*args)
+
+        for name in ("affine_through", "affine_apply", "affine_fixed_points"):
+            monkeypatch.setattr(rs, name, counting(name))
+        ctx = field_make(next_prime(rs2_field_threshold(n)))
+        construct_rs2(n, ctx)
+        greedy = sum(math.comb(m, 2) ** 2 * (m + 2) for m in range(3, n))
+        assert len(calls) == greedy + 2 * sum(1 for _ in rs._triples_with_gap(n))
+        assert len(calls) <= construct_rs2_steps(n, ctx) == greedy + 2 * math.comb(n, 3) ** 2
+        gf1024 = field_from_size(1024)
+        assert construct_rs2_steps(n, gf1024) == construct_rs2_steps(n, ctx) * 2 * 10 * 11
+
+    def test_step_cap_before_the_greedy(self, monkeypatch):
+        monkeypatch.setattr(rs, "affine_through", None)
+        for n, ctx in ((13, None), (16, None), (22, None), (12, field_from_size(2**20)), (6, field_from_size(4096))):
+            with pytest.raises(ScaleCapExceeded, match="weighted affine-map steps"):
+                construct_rs2(n, ctx)
+
+    def test_step_cap_boundary(self, monkeypatch):
+        assert construct_rs2_steps(12, field_make(36307)) <= CONSTRUCT_STEP_CAP < construct_rs2_steps(
+            13, field_make(56629)
+        )
+        gf243 = field_from_size(243)
+        monkeypatch.setattr(rs, "CONSTRUCT_STEP_CAP", construct_rs2_steps(5, gf243))
+        assert construct_rs2(5, gf243).alphas == (0, 1, 2, 3, 11)
+        monkeypatch.setattr(rs, "CONSTRUCT_STEP_CAP", construct_rs2_steps(5, gf243) - 1)
+        with pytest.raises(ScaleCapExceeded, match="n=5 over GF\\(243\\) takes 36880 "):
+            construct_rs2(5, gf243)
 
 
 class TestLowDistanceWitness:
