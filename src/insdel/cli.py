@@ -290,8 +290,10 @@ def _cmd_counterexample(a):
 
 
 def _cmd_selftest(a):
+    from .acceptance import CRITERIA
+
     results = []
-    for name, check in _selftest_checks():
+    for name, _, check in CRITERIA:
         try:
             check()
             results.append((name, True, ""))
@@ -317,84 +319,6 @@ def _cmd_selftest(a):
             print(line)
         print(f"selftest: {'ok' if ok else 'FAILED'}")
     return 0 if ok else 1
-
-
-def _selftest_checks():
-    from itertools import combinations, product
-
-    from .bounds import counterexample_code as cx
-    from .lift import guarantee_report
-    from .oracles import edit_graph_distance
-    from .rs import affine_apply, affine_fixed_points, affine_through
-    from .words import Composition, l1_distance, phi, psi
-    from .gf import field_make
-
-    def metrics_agree():
-        words = [Word(2, s) for s in product(range(2), repeat=4)]
-        for u, v in combinations(words, 2):
-            assert insdel_distance(u, v) == edit_graph_distance(u, v)
-
-    def count_map_round_trip():
-        comps = [
-            Composition(3, c)
-            for c in product(range(5), repeat=3)
-            if sum(c) == 4
-        ]
-        assert len(comps) == 15
-        for a in comps:
-            assert phi(psi(a)) == a
-        for a, b in combinations(comps, 2):
-            assert l1_distance(a, b) == insdel_distance(psi(a), psi(b))
-
-    def bucket_construction():
-        code, report = construct_l1(L1ConstructionSpec(q=2, n=3, delta=2))
-        assert report["r"] == 3 and report["size"] == 2
-        assert report["verified_min_l1"] >= 4
-        assert guarantee_report(4, 8, 2)["guaranteed_size"] == 19
-
-    def rs2_criterion_matches_sweep():
-        code = RsCode(field_make(7), (0, 1, 2, 3), 2)
-        ok, _ = check_rs2_criterion(code)
-        d, _ = rs_exhaustive_insdel(code)
-        assert ok == (d == 2 * code.n - 4)
-
-    def witness_certificate():
-        code = RsCode(field_make(7), tuple(range(6)), 3)
-        w = low_distance_witness(code)
-        assert w["lcs_lower_bound"] >= 4
-        assert w["distance_upper_bound"] == 4
-
-    def bound_formulas():
-        assert singleton_bound(2, 3, 4) == 4
-        assert size_upper_bound(2, 3, 2) == (8, "i")
-        assert size_upper_bound(3, 3, 6) == (3, "i")
-        assert levenshtein_lower_bound(2, 3, 2) == 1
-        assert exact_iq(2, 3, 2)[0] == 8
-        assert exact_iq(2, 3, 6)[0] == 2
-        _, report = cx(3, 3)
-        assert report["size"] == 4 and report["min_insdel"] == 4
-
-    def affine_action():
-        ctx = field_make(5)
-        for src in product(range(5), repeat=2):
-            for dst in product(range(5), repeat=2):
-                if src[0] != src[1] and dst[0] != dst[1]:
-                    s = affine_through(ctx, src, dst)
-                    assert affine_apply(s, src[0]) == dst[0]
-                    assert affine_apply(s, src[1]) == dst[1]
-                    fixed = affine_fixed_points(s)
-                    if not s.is_identity():
-                        assert len(fixed) <= 1
-
-    return [
-        ("metric-oracle-agreement", metrics_agree),
-        ("count-map-round-trip", count_map_round_trip),
-        ("bucket-construction", bucket_construction),
-        ("rs2-criterion-vs-sweep", rs2_criterion_matches_sweep),
-        ("low-distance-witness", witness_certificate),
-        ("bound-formulas", bound_formulas),
-        ("affine-action", affine_action),
-    ]
 
 
 # Each subcommand's options, declared once: every parser takes --json and
@@ -483,6 +407,8 @@ def main(argv=None) -> int:
         return 64
     try:
         return _DISPATCH[command](_parser(command).parse_args(rest))
+    except SystemExit as exc:  # argparse exits after printing -h/--help; error() raises DomainError
+        return exc.code
     except ScaleCapExceeded as exc:
         sys.stderr.write(f"insdel {command}: scale cap: {exc}\n")
         return 2

@@ -1,4 +1,5 @@
-"""Independent brute-force oracles used by the test and selftest suites.
+"""Independent brute-force oracles used by the acceptance criteria
+(``insdel.acceptance``) and the tests.
 
 Nothing here shares code with the production metric paths: the edit-graph
 distance is a 0-1 breadth-first search on the alignment grid, the word-graph

@@ -1,49 +1,14 @@
-"""Acceptance suite: desk-scale reproduction of every construction
-guarantee, cross-checked against independent brute-force oracles.
+"""Acceptance suite: one case per criterion of ``insdel.acceptance``, the
+same criteria ``insdel selftest`` runs.
 
 Each criterion prints exactly one PASS/FAIL line on the live terminal.
 """
 
 import contextlib
-import itertools
-import random
 
 import pytest
 
-from insdel.bounds import (
-    counterexample_code,
-    exact_iq,
-    singleton_bound,
-    size_upper_bound,
-    verify_support_structure,
-)
-from insdel.cw_l1 import L1ConstructionSpec, construct_l1
-from insdel.gf import Matrix, Polynomial, det, field_make
-from insdel.lift import lift
-from insdel.oracles import edit_graph_distance
-from insdel.rs import (
-    RsCode,
-    affine_apply,
-    affine_fixed_points,
-    affine_through,
-    check_rs2_criterion,
-    construct_rs2,
-    invertible_difference_indices,
-    low_distance_witness,
-    rs2_field_threshold,
-    rs_exhaustive_insdel,
-)
-from insdel.words import (
-    Code,
-    Word,
-    code_min_distance,
-    compositions_colex,
-    insdel_distance,
-    l1_distance,
-    psi,
-)
-
-SEED = 20240824
+from insdel.acceptance import CRITERIA
 
 
 @contextlib.contextmanager
@@ -58,159 +23,12 @@ def reported(capsys, number, label):
         print(f"criterion {number:2d} PASS  {label}")
 
 
-def test_criterion_01_metric_matches_edit_graph_oracle(capsys):
-    with reported(capsys, 1, "insdel distance equals the edit-graph BFS oracle"):
-        words = [
-            Word(2, s)
-            for n in range(6)
-            for s in itertools.product(range(2), repeat=n)
-        ]
-        for u, v in itertools.combinations_with_replacement(words, 2):
-            assert insdel_distance(u, v) == edit_graph_distance(u, v)
-        rng = random.Random(SEED)
-        for _ in range(200):
-            q = rng.randint(2, 4)
-            u = Word(q, tuple(rng.randrange(q) for _ in range(rng.randint(0, 10))))
-            v = Word(q, tuple(rng.randrange(q) for _ in range(rng.randint(0, 10))))
-            assert insdel_distance(u, v) == edit_graph_distance(u, v)
-
-
-def test_criterion_02_count_space_distance_transfers(capsys):
-    with reported(capsys, 2, "L1 distance equals insdel distance of sorted words"):
-        comps = list(compositions_colex(4, 3))
-        assert len(comps) == 15
-        pairs = list(itertools.combinations(comps, 2))
-        assert len(pairs) == 105
-        for a, b in pairs:
-            assert l1_distance(a, b) == insdel_distance(psi(a), psi(b))
-
-
-def test_criterion_03_bucket_lift_construction(capsys):
-    with reported(capsys, 3, "bucketed q=4 n=8 code lifts to >= 42 words at d_I >= 4"):
-        spec = L1ConstructionSpec(q=4, n=8, delta=2, r=5)
-        assert spec.guaranteed_lower_bound() == 42
-        source, src_report = construct_l1(spec)
-        assert src_report["size"] >= 42
-        lifted, report = lift(source)
-        assert report["verified"] is True
-        assert len(lifted) >= 42
-        assert report["min_insdel"] >= 4
-
-
-def test_criterion_04_greedy_rs2_reaches_target_distance(capsys):
-    with reported(capsys, 4, "greedy dimension-2 construction hits d_I = 2n-4"):
-        assert rs2_field_threshold(4) == 36
-        code4 = construct_rs2(4)
-        assert code4.ctx.q == 37
-        assert check_rs2_criterion(code4)[0]
-        d, _ = rs_exhaustive_insdel(code4, cap=37**2)
-        assert d == 2 * 4 - 4
-        assert rs2_field_threshold(5) == 180
-        code5 = construct_rs2(5)
-        assert code5.ctx.q == 181
-        assert check_rs2_criterion(code5)[0]
-
-
-def test_criterion_05_criterion_equals_exhaustive_sweep(capsys):
-    with reported(capsys, 5, "affine criterion verdict matches the exhaustive sweep"):
-        rng = random.Random(SEED)
-        for q, n in [(7, 3), (7, 4), (11, 4), (13, 5)]:
-            ctx = field_make(q)
-            for _ in range(50):
-                alphas = tuple(rng.sample(range(q), n))
-                code = RsCode(ctx, alphas, 2)
-                ok, _ = check_rs2_criterion(code)
-                d, _ = rs_exhaustive_insdel(code)
-                assert ok == (d == 2 * n - 4), (q, alphas)
-
-
-def test_criterion_06_low_distance_witness_for_k3(capsys):
-    with reported(capsys, 6, "k=3 witness certifies d_I <= 2n-4k+4 with LCS >= 4"):
-        for q in (7, 11, 101):
-            code = RsCode(field_make(q), tuple(range(6)), 3)
-            ii, jj = invertible_difference_indices(code, 3)
-            assert (ii, jj) == ((2, 3), (0, 2))  # 1-based (3,4) and (1,3)
-            ctx = code.ctx
-            rows = [
-                [
-                    ctx.sub(ctx.pow(code.alphas[a], s), ctx.pow(code.alphas[b], s))
-                    for a, b in zip(ii, jj)
-                ]
-                for s in (1, 2)
-            ]
-            assert det(Matrix.from_rows(ctx, rows)) != 0
-            w = low_distance_witness(code)
-            assert w["f"] != w["g"]
-            assert w["lcs_lower_bound"] >= 4
-            assert w["distance_upper_bound"] == 2 * 6 - 4 * 3 + 4 == 4
-
-
-def test_criterion_07_exact_solver_hits_endpoint_equalities(capsys):
-    with reported(capsys, 7, "exact optimum matches the closed forms at d=2 and d=2n"):
-        assert exact_iq(2, 3, 2)[0] == 8
-        assert exact_iq(2, 3, 6)[0] == 2
-        assert exact_iq(3, 3, 6)[0] == 3
-
-
-def test_criterion_08_strictly_below_singleton_midrange(capsys):
-    with reported(capsys, 8, "no code meets the insdel Singleton bound for 4 <= d <= 2n-2"):
-        for q in (2, 3):
-            for n in (3, 4):
-                for d in range(4, 2 * n - 1, 2):
-                    size, _ = exact_iq(q, n, d)
-                    assert size < singleton_bound(q, n, d)
-                    assert size <= size_upper_bound(q, n, d)[0]
-
-
-def test_criterion_09_counterexample_beats_power_bound(capsys):
-    with reported(capsys, 9, "q=5 n=4 family exceeds the q^(n-d/2) power bound"):
-        code, report = counterexample_code(5, 4)
-        assert report["size"] == 6 == 5 + 1
-        d, _ = code_min_distance(code, "INSDEL")
-        assert d == 6 == 2 * 4 - 2
-        assert report["size"] > 5 ** (4 - d // 2)
-
-
-def test_criterion_10_support_structure_of_optimal_codes(capsys):
-    with reported(capsys, 10, "every size-3 support holds exactly q-1 = 4 codewords"):
-        ctx = field_make(5)
-        rs = RsCode(ctx, tuple(range(4)), 2)
-        members = set()
-        for coeffs in itertools.product(range(5), repeat=2):
-            f = Polynomial(ctx, coeffs)
-            members.add(Word(5, tuple(f(a) for a in rs.alphas)))
-        code = Code(5, 4, tuple(members))
-        ok, counts = verify_support_structure(code, 2)
-        assert ok
-        assert len(counts) == 4
-        assert set(counts.values()) == {4}
-
-
-def test_criterion_11_affine_group_action_suite(capsys):
-    from insdel.rs import AffineMap
-
-    with reported(capsys, 11, "affine maps: 2-transitive, compatible, <= 1 fixed point"):
-        rng = random.Random(SEED)
-        for q in (5, 7, 13):
-            ctx = field_make(q)
-            for src in itertools.permutations(range(q), 2):
-                for dst in itertools.permutations(range(q), 2):
-                    s = affine_through(ctx, src, dst)
-                    assert affine_apply(s, src[0]) == dst[0]
-                    assert affine_apply(s, src[1]) == dst[1]
-            for a in range(1, q):
-                for b in range(q):
-                    s = AffineMap(ctx, a, b)
-                    if s.is_identity():
-                        continue
-                    fixed = affine_fixed_points(s)
-                    assert len(fixed) <= 1
-                    assert fixed == frozenset(
-                        x for x in range(q) if affine_apply(s, x) == x
-                    )
-        ctx = field_make(13)
-        for _ in range(500):
-            s = AffineMap(ctx, rng.randrange(1, 13), rng.randrange(13))
-            f = Polynomial(ctx, tuple(rng.randrange(13) for _ in range(4)))
-            alpha = rng.randrange(13)
-            assert f(alpha) == s.apply_polynomial(f)(affine_apply(s, alpha))
+@pytest.mark.parametrize(
+    "number",
+    range(1, len(CRITERIA) + 1),
+    ids=[f"{number:02d}-{name}" for number, (name, _, _) in enumerate(CRITERIA, 1)],
+)
+def test_criterion(number, capsys):
+    _, label, check = CRITERIA[number - 1]
+    with reported(capsys, number, label):
+        check()

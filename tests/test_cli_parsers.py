@@ -93,9 +93,7 @@ def test_interleaved_calls_match_fresh_interpreters(tmp_path):
 def test_help_twice_prints_the_same_text(name, capsys):
     texts = []
     for _ in range(2):
-        with pytest.raises(SystemExit) as exc:
-            cli.main([name, "--help"])
-        assert exc.value.code == 0
+        assert cli.main([name, "--help"]) == 0
         texts.append(capsys.readouterr().out)
     assert texts[0] == texts[1]
     assert texts[0].startswith(f"usage: insdel {name} [-h] [--json] [--threads THREADS]")

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from insdel import codefile
+from insdel import acceptance, cli, codefile
 from insdel.bounds import counterexample_code
 from insdel.cw_l1 import L1ConstructionSpec, construct_l1
 from insdel.errors import DomainError
@@ -143,6 +143,7 @@ class TestCliJson:
             ("construct-rs2", "--n", "4"),
             ("verify-rs2", "--q", "7", "--n", "4", "--alphas", "0,1,2,3"),
             ("witness-rs", "--q", "7", "--k", "3", "--alphas", "0,1,2,3,4,5"),
+            ("selftest",),
         ]
         for cmd in commands:
             result = run_cli(*cmd, "--json")
@@ -294,6 +295,25 @@ class TestCliPipelines:
         assert "Traceback" not in result.stderr
 
     def test_selftest_passes(self):
+        names = [name for name, _, _ in acceptance.CRITERIA]
         result = run_cli("selftest")
         assert result.returncode == 0
-        assert "FAIL" not in result.stdout
+        assert result.stdout.splitlines() == [f"PASS {name}" for name in names] + ["selftest: ok"]
+        result = run_cli("selftest", "--json")
+        assert result.returncode == 0
+        doc = json.loads(result.stdout)
+        assert doc["passed"] is True
+        assert doc["checks"] == [{"name": name, "passed": True, "detail": ""} for name in names]
+
+    def test_selftest_reports_a_failing_criterion(self, monkeypatch, capsys):
+        def broken():
+            raise AssertionError("broken on purpose")
+
+        criteria = list(acceptance.CRITERIA)
+        name, label, _ = criteria[4]
+        criteria[4] = (name, label, broken)
+        monkeypatch.setattr(acceptance, "CRITERIA", tuple(criteria))
+        want = [f"PASS {other}" for other, _, _ in criteria]
+        want[4] = f"FAIL {name} (AssertionError: broken on purpose)"
+        assert cli.main(["selftest"]) == 1
+        assert capsys.readouterr().out.splitlines() == want + ["selftest: FAILED"]

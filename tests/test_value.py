@@ -21,7 +21,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_cli_import_leaves_dataclasses_out():
-    probe = "import sys, insdel.cli; print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))"
+    probe = "import sys, insdel.cli; print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'insdel.acceptance', 'insdel.oracles'} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
     assert result.stdout == "[]\n"
