@@ -3,7 +3,8 @@ guarantee, cross-checked against independent brute-force oracles.
 
 ``CRITERIA`` is the one definition. ``insdel selftest`` runs it in order,
 and the test suite runs one parametrised case per entry. Each entry is
-``(name, label, check)``; ``check()`` raises ``AssertionError`` on failure.
+``(name, label, check)``; ``check()`` raises ``AssertionError`` on failure,
+through ``require``, so the checks also run under ``python -O``.
 """
 
 import itertools
@@ -48,6 +49,13 @@ from .words import (
 SEED = 20240824
 
 
+def require(condition, detail="") -> None:
+    """Raise ``AssertionError(detail)`` unless condition holds. Unlike
+    ``assert``, it also checks under ``python -O``."""
+    if not condition:
+        raise AssertionError(detail)
+
+
 def metric_matches_edit_graph_oracle():
     words = [
         Word(2, s)
@@ -55,59 +63,59 @@ def metric_matches_edit_graph_oracle():
         for s in itertools.product(range(2), repeat=n)
     ]
     for u, v in itertools.combinations_with_replacement(words, 2):
-        assert insdel_distance(u, v) == edit_graph_distance(u, v)
+        require(insdel_distance(u, v) == edit_graph_distance(u, v))
     rng = random.Random(SEED)
     for _ in range(200):
         q = rng.randint(2, 4)
         u = Word(q, tuple(rng.randrange(q) for _ in range(rng.randint(0, 10))))
         v = Word(q, tuple(rng.randrange(q) for _ in range(rng.randint(0, 10))))
-        assert insdel_distance(u, v) == edit_graph_distance(u, v)
+        require(insdel_distance(u, v) == edit_graph_distance(u, v))
 
 
 def count_space_distance_transfers():
     comps = list(compositions_colex(4, 3))
-    assert len(comps) == 15
+    require(len(comps) == 15)
     for a in comps:
-        assert phi(psi(a)) == a
+        require(phi(psi(a)) == a)
     pairs = list(itertools.combinations(comps, 2))
-    assert len(pairs) == 105
+    require(len(pairs) == 105)
     for a, b in pairs:
-        assert l1_distance(a, b) == insdel_distance(psi(a), psi(b))
+        require(l1_distance(a, b) == insdel_distance(psi(a), psi(b)))
 
 
 def bucket_lift_construction():
     spec = L1ConstructionSpec(q=4, n=8, delta=2, r=5)
-    assert spec.guaranteed_lower_bound() == 42
-    assert guarantee_report(4, 8, 2)["guaranteed_size"] == 19
+    require(spec.guaranteed_lower_bound() == 42)
+    require(guarantee_report(4, 8, 2)["guaranteed_size"] == 19)
     source, src_report = construct_l1(spec)
-    assert src_report["size"] >= 42
+    require(src_report["size"] >= 42)
     lifted, report = lift(source)
-    assert report["verified"] is True
-    assert len(lifted) >= 42
-    assert report["min_insdel"] >= 4
+    require(report["verified"] is True)
+    require(len(lifted) >= 42)
+    require(report["min_insdel"] >= 4)
     _, small = construct_l1(L1ConstructionSpec(q=2, n=3, delta=2))
-    assert small["r"] == 3 and small["size"] == 2
-    assert small["verified_min_l1"] >= 4
+    require(small["r"] == 3 and small["size"] == 2)
+    require(small["verified_min_l1"] >= 4)
 
 
 def greedy_rs2_reaches_target_distance():
-    assert rs2_field_threshold(4) == 36
+    require(rs2_field_threshold(4) == 36)
     code4 = construct_rs2(4)
-    assert code4.ctx.q == 37
-    assert check_rs2_criterion(code4)[0]
+    require(code4.ctx.q == 37)
+    require(check_rs2_criterion(code4)[0])
     d, _ = rs_exhaustive_insdel(code4, cap=37**2)
-    assert d == 2 * 4 - 4
-    assert rs2_field_threshold(5) == 180
+    require(d == 2 * 4 - 4)
+    require(rs2_field_threshold(5) == 180)
     code5 = construct_rs2(5)
-    assert code5.ctx.q == 181
-    assert check_rs2_criterion(code5)[0]
+    require(code5.ctx.q == 181)
+    require(check_rs2_criterion(code5)[0])
 
 
 def criterion_equals_exhaustive_sweep():
     def agree(code):
         ok, _ = check_rs2_criterion(code)
         d, _ = rs_exhaustive_insdel(code)
-        assert ok == (d == 2 * code.n - 4), (code.ctx.q, code.alphas)
+        require(ok == (d == 2 * code.n - 4), (code.ctx.q, code.alphas))
 
     agree(RsCode(field_make(7), (0, 1, 2, 3), 2))
     rng = random.Random(SEED)
@@ -121,7 +129,7 @@ def low_distance_witness_for_k3():
     for q in (7, 11, 101):
         code = RsCode(field_make(q), tuple(range(6)), 3)
         ii, jj = invertible_difference_indices(code, 3)
-        assert (ii, jj) == ((2, 3), (0, 2))  # 1-based (3,4) and (1,3)
+        require((ii, jj) == ((2, 3), (0, 2)))  # 1-based (3,4) and (1,3)
         ctx = code.ctx
         rows = [
             [
@@ -130,37 +138,37 @@ def low_distance_witness_for_k3():
             ]
             for s in (1, 2)
         ]
-        assert det(Matrix.from_rows(ctx, rows)) != 0
+        require(det(Matrix.from_rows(ctx, rows)) != 0)
         w = low_distance_witness(code)
-        assert w["f"] != w["g"]
-        assert w["lcs_lower_bound"] >= 4
-        assert w["distance_upper_bound"] == 2 * 6 - 4 * 3 + 4 == 4
+        require(w["f"] != w["g"])
+        require(w["lcs_lower_bound"] >= 4)
+        require(w["distance_upper_bound"] == 2 * 6 - 4 * 3 + 4 == 4)
 
 
 def exact_solver_hits_endpoint_equalities():
     for (q, n, d), size in {(2, 3, 2): 8, (2, 3, 6): 2, (3, 3, 6): 3}.items():
-        assert exact_iq(q, n, d)[0] == size
-        assert size_upper_bound(q, n, d) == (size, "i")
-    assert levenshtein_lower_bound(2, 3, 2) == 1
+        require(exact_iq(q, n, d)[0] == size)
+        require(size_upper_bound(q, n, d) == (size, "i"))
+    require(levenshtein_lower_bound(2, 3, 2) == 1)
 
 
 def strictly_below_singleton_midrange():
-    assert singleton_bound(2, 3, 4) == 4
+    require(singleton_bound(2, 3, 4) == 4)
     for q in (2, 3):
         for n in (3, 4):
             for d in range(4, 2 * n - 1, 2):
                 size, _ = exact_iq(q, n, d)
-                assert size < singleton_bound(q, n, d)
-                assert size <= size_upper_bound(q, n, d)[0]
+                require(size < singleton_bound(q, n, d))
+                require(size <= size_upper_bound(q, n, d)[0])
 
 
 def counterexample_beats_power_bound():
     for q, n in ((5, 4), (3, 3)):
         code, report = counterexample_code(q, n)
-        assert report["size"] == q + 1
+        require(report["size"] == q + 1)
         d, _ = code_min_distance(code, "INSDEL")
-        assert d == report["min_insdel"] == 2 * n - 2
-        assert report["size"] > q ** (n - d // 2)
+        require(d == report["min_insdel"] == 2 * n - 2)
+        require(report["size"] > q ** (n - d // 2))
 
 
 def support_structure_of_optimal_codes():
@@ -172,9 +180,9 @@ def support_structure_of_optimal_codes():
         members.add(Word(5, tuple(f(a) for a in rs.alphas)))
     code = Code(5, 4, tuple(members))
     ok, counts = verify_support_structure(code, 2)
-    assert ok
-    assert len(counts) == 4
-    assert set(counts.values()) == {4}
+    require(ok)
+    require(len(counts) == 4)
+    require(set(counts.values()) == {4})
 
 
 def affine_group_action_suite():
@@ -184,24 +192,22 @@ def affine_group_action_suite():
         for src in itertools.permutations(range(q), 2):
             for dst in itertools.permutations(range(q), 2):
                 s = affine_through(ctx, src, dst)
-                assert affine_apply(s, src[0]) == dst[0]
-                assert affine_apply(s, src[1]) == dst[1]
+                require(affine_apply(s, src[0]) == dst[0])
+                require(affine_apply(s, src[1]) == dst[1])
         for a in range(1, q):
             for b in range(q):
                 s = AffineMap(ctx, a, b)
                 if s.is_identity():
                     continue
                 fixed = affine_fixed_points(s)
-                assert len(fixed) <= 1
-                assert fixed == frozenset(
-                    x for x in range(q) if affine_apply(s, x) == x
-                )
+                require(len(fixed) <= 1)
+                require(fixed == frozenset(x for x in range(q) if affine_apply(s, x) == x))
     ctx = field_make(13)
     for _ in range(500):
         s = AffineMap(ctx, rng.randrange(1, 13), rng.randrange(13))
         f = Polynomial(ctx, tuple(rng.randrange(13) for _ in range(4)))
         alpha = rng.randrange(13)
-        assert f(alpha) == s.apply_polynomial(f)(affine_apply(s, alpha))
+        require(f(alpha) == s.apply_polynomial(f)(affine_apply(s, alpha)))
 
 
 CRITERIA = tuple(

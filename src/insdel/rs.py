@@ -162,16 +162,92 @@ def rs2_field_threshold(n: int) -> int:
 
 
 def construct_rs2_steps(n: int, ctx: FieldCtx) -> int:
-    """Work of ``construct_rs2(n, ctx)`` in map steps, each one affine map
-    built or applied. The greedy's step from m points builds C(m,2)^2 maps
-    and applies each to the m points and to its fixed point; the criterion
-    re-check builds and applies one map for each of at most C(n,3)^2 triple
-    pairs. Each step inverts one field element; over GF(p^e), e > 1, that
-    is a power of degree-e polynomials, so a step weighs
-    2e*bitlength(q) prime-field steps (measured from GF(64) to GF(2^20):
-    at most 10 % under the true ratio and at most 50 % over it)."""
+    """Upper bound on the work of ``construct_rs2(n, ctx)`` in map steps.
+
+    The formula counts the affine maps a map-by-map greedy would build or
+    apply: from m points, C(m,2)^2 maps, each applied to the m points and
+    to its fixed point. The ratio-set greedy (``_RatioTables``) does at
+    most that many field multiplies and inversions. The criterion re-check
+    builds and applies one map for each of at most C(n,3)^2 triple pairs.
+    A step costs at most one field inversion and a few multiplies; over
+    GF(p^e), e > 1, an inversion is a power of degree-e polynomials, so a
+    step weighs 2e*bitlength(q) prime-field steps (measured from GF(64) to
+    GF(2^20): at most 10 % under the true ratio and at most 50 % over
+    it)."""
     steps = sum(math.comb(m, 2) ** 2 * (m + 2) for m in range(3, n)) + 2 * math.comb(n, 3) ** 2
     return steps if ctx.m == 1 else steps * 2 * ctx.m * ctx.q.bit_length()
+
+
+def _inverses(ctx: FieldCtx, values: list[int]) -> list[int]:
+    """Inverses of nonzero elements from one field inversion and
+    3(len - 1) multiplies (Montgomery's batch trick)."""
+    if not values:
+        return []
+    mul = ctx.mul
+    prefix = [values[0]]
+    for v in values[1:]:
+        prefix.append(mul(prefix[-1], v))
+    inv = ctx.inv(prefix[-1])
+    out = [0] * len(values)
+    for i in range(len(values) - 1, 0, -1):
+        out[i] = mul(inv, prefix[i - 1])
+        inv = mul(inv, values[i])
+    out[0] = inv
+    return out
+
+
+class _RatioTables:
+    """The set the greedy of ``construct_rs2`` forbids after the points
+    admitted so far: every image and fixed point of the affine maps
+    between pairs of admitted points, grown one point at a time.
+
+    The map sending points (a_i, a_j) to (a_k, a_l), i < j, k < l, moves
+    a_t to a_k + r (a_l - a_k) with r = (a_t - a_i) / (a_j - a_i). So the
+    images are {a + r d : r in R, (a, d) in P} for the ratio set R and the
+    pair list P = {(a_k, a_l - a_k)}. With d = a_j - a_i and
+    e = a_l - a_k, the map has scale e/d and, when d != e, the fixed point
+    (a_k d - a_i e) / (d - e), shared with its inverse map. The tables
+    only grow, so a new point adds just the ratios, pairs, images and
+    fixed points involving it. Each pair difference is inverted once, in
+    one batch per point with that point's fixed-point denominators.
+    """
+
+    def __init__(self, ctx: FieldCtx):
+        self.ctx = ctx
+        self.alphas: list[int] = []
+        self.pairs: list[tuple[int, int, int]] = []  # (a_k, a_l - a_k, its inverse)
+        self.ratios: list[int] = []  # R without 0 and 1, which map onto admitted points
+        self.forbidden: set[int] = set()
+
+    def admit(self, x: int) -> None:
+        ctx = self.ctx
+        add, sub, mul = ctx.add, ctx.sub, ctx.mul
+        alphas, pairs, ratios, forbidden = self.alphas, self.pairs, self.ratios, self.forbidden
+        diffs = [sub(x, a) for a in alphas]
+        # A map between two new pairs fixes their shared point x, and a
+        # map from an old pair to a new one has the fixed point of its
+        # inverse, so only new-to-old maps add fixed points.
+        fixed: dict[int, list[int]] = {}  # denominator -> numerators
+        for a, d in zip(alphas, diffs):
+            for b, e, _ in pairs:
+                if d != e:
+                    fixed.setdefault(sub(d, e), []).append(sub(mul(b, d), mul(a, e)))
+        invs = _inverses(ctx, diffs + list(fixed))
+        for inv, nums in zip(invs[len(diffs) :], fixed.values()):
+            forbidden.update(mul(num, inv) for num in nums)
+        new = list(zip(alphas, diffs, invs))
+        fresh = [mul(sub(x, a), dinv) for a, _, dinv in pairs]
+        fresh += [mul(sub(t, a), dinv) for a, _, dinv in new for t in alphas if t != a]
+        known = {0, 1, *ratios}
+        fresh = [r for r in dict.fromkeys(fresh) if r not in known]
+        for a, d, _ in pairs:
+            forbidden.update(add(a, mul(r, d)) for r in fresh)
+        ratios += fresh
+        for a, d, _ in new:
+            forbidden.update(add(a, mul(r, d)) for r in ratios)
+        pairs += new
+        alphas.append(x)
+        forbidden.add(x)
 
 
 def construct_rs2(n: int, ctx: FieldCtx | None = None) -> RsCode:
@@ -179,10 +255,10 @@ def construct_rs2(n: int, ctx: FieldCtx | None = None) -> RsCode:
 
     Starts from the three smallest field elements and, at each step, takes
     the smallest element avoiding every image and fixed point of the maps
-    determined by pairs of already-chosen points. The full criterion is
-    re-checked afterwards and a failure is an internal error, not a data
-    condition. Past CONSTRUCT_STEP_CAP steps of ``construct_rs2_steps`` it
-    refuses before the greedy starts.
+    determined by pairs of already-chosen points (see ``_RatioTables``).
+    The full criterion is re-checked afterwards and a failure is an
+    internal error, not a data condition. Past CONSTRUCT_STEP_CAP steps of
+    ``construct_rs2_steps`` it refuses before the greedy starts.
     """
     threshold = rs2_field_threshold(n)
     if ctx is None:
@@ -196,23 +272,13 @@ def construct_rs2(n: int, ctx: FieldCtx | None = None) -> RsCode:
         raise ScaleCapExceeded(
             f"n={n} over {ctx} takes {steps} weighted affine-map steps, past the cap {CONSTRUCT_STEP_CAP}"
         )
-    alphas: list[int] = [0, 1, 2]
-    for _ in range(3, n):
-        forbidden = set(alphas)
-        m = len(alphas)
-        for (i, j) in itertools.combinations(range(m), 2):
-            for (k, l) in itertools.combinations(range(m), 2):
-                sigma = affine_through(
-                    ctx, (alphas[i], alphas[j]), (alphas[k], alphas[l])
-                )
-                for t in range(m):
-                    forbidden.add(affine_apply(sigma, alphas[t]))
-                fixed = affine_fixed_points(sigma)
-                if fixed is not ALL_FIXED:
-                    forbidden.update(fixed)
-        candidate = next(c for c in range(ctx.q) if c not in forbidden)
-        alphas.append(candidate)
-    code = RsCode(ctx, tuple(alphas), 2)
+    tables = _RatioTables(ctx)
+    x = 0
+    for m in range(1, n):
+        tables.admit(x)
+        # The forbidden set only grows, so each scan starts above the last pick.
+        x = m if m < 3 else next(c for c in range(x + 1, ctx.q) if c not in tables.forbidden)
+    code = RsCode(ctx, (*tables.alphas, x), 2)
     ok, witness = check_rs2_criterion(code)
     if not ok:
         raise RuntimeError(f"greedy vector failed the criterion: {witness}")

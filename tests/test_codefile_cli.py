@@ -20,6 +20,23 @@ from pathlib import Path
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "docs" / "cli_report.schema.json"
 
+# `insdel selftest` with lift.guarantee_report rounding its size guarantee
+# down instead of up; the package re-exports the function `lift` over the
+# module's name, so the module comes from importlib.
+SELFTEST_WITH_FLOORED_GUARANTEE = """
+import importlib, math, sys
+from insdel import cli
+lift_module = importlib.import_module("insdel.lift")
+exact = lift_module.guarantee_report
+def floored(q, n, delta):
+    report = exact(q, n, delta)
+    denom = (2 * q + 2) ** (delta - 2) * (2 * q + 1)
+    report["guaranteed_size"] = math.comb(n + q - 1, n) // denom
+    return report
+lift_module.guarantee_report = floored
+sys.exit(cli.main(["selftest"]))
+"""
+
 
 def run_cli(*args, env=None):
     import os
@@ -304,6 +321,21 @@ class TestCliPipelines:
         doc = json.loads(result.stdout)
         assert doc["passed"] is True
         assert doc["checks"] == [{"name": name, "passed": True, "detail": ""} for name in names]
+
+    @pytest.mark.parametrize(
+        "program,code,last",
+        [
+            (["-m", "insdel.cli", "selftest"], 0, "selftest: ok"),
+            (["-c", SELFTEST_WITH_FLOORED_GUARANTEE], 1, "selftest: FAILED"),
+        ],
+        ids=["as-built", "floored-guarantee"],
+    )
+    def test_selftest_checks_under_optimisation(self, program, code, last):
+        result = subprocess.run([sys.executable, "-O", *program], capture_output=True, text=True)
+        assert result.returncode == code, result.stderr
+        assert result.stdout.splitlines()[-1] == last
+        failed = [line for line in result.stdout.splitlines() if line.startswith("FAIL ")]
+        assert failed == ([] if code == 0 else ["FAIL bucket-lift-construction (AssertionError: )"])
 
     def test_selftest_reports_a_failing_criterion(self, monkeypatch, capsys):
         def broken():

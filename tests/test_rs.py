@@ -5,7 +5,7 @@ import random
 import pytest
 
 from insdel.errors import DomainError, ScaleCapExceeded
-from insdel.gf import Matrix, Polynomial, det, field_from_size, field_make, next_prime
+from insdel.gf import FieldCtx, Matrix, Polynomial, det, field_from_size, field_make, next_prime
 import insdel.rs as rs
 from insdel.rs import (
     ALL_FIXED,
@@ -215,27 +215,59 @@ class TestGreedyConstruction:
     def test_deterministic(self):
         assert construct_rs2(4).alphas == construct_rs2(4).alphas
 
-    @pytest.mark.parametrize("n", [4, 5, 6, 8])
-    def test_steps_count_the_map_work(self, monkeypatch, n):
+    @staticmethod
+    def _counted_run(monkeypatch, n, ctx):
+        """Names of the field multiplies and inversions and the affine-map
+        calls of ``construct_rs2(n, ctx)``, split where the criterion
+        re-check starts."""
         calls = []
 
-        def counting(name):
-            fn = getattr(rs, name)
+        def counting(owner, name):
+            fn = getattr(owner, name)
             return lambda *args: calls.append(name) or fn(*args)
 
         for name in ("affine_through", "affine_apply", "affine_fixed_points"):
-            monkeypatch.setattr(rs, name, counting(name))
-        ctx = field_make(next_prime(rs2_field_threshold(n)))
+            monkeypatch.setattr(rs, name, counting(rs, name))
+        for name in ("mul", "inv"):
+            monkeypatch.setattr(FieldCtx, name, counting(FieldCtx, name))
+        check = rs.check_rs2_criterion
+        before_check = []
+        monkeypatch.setattr(rs, "check_rs2_criterion", lambda code: before_check.append(len(calls)) or check(code))
         construct_rs2(n, ctx)
+        return calls[: before_check[0]], calls[before_check[0] :]
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 8])
+    def test_steps_count_the_map_work(self, monkeypatch, n):
+        ctx = field_make(next_prime(rs2_field_threshold(n)))
+        greedy_calls, check_calls = self._counted_run(monkeypatch, n, ctx)
         greedy = sum(math.comb(m, 2) ** 2 * (m + 2) for m in range(3, n))
-        assert len(calls) == greedy + 2 * sum(1 for _ in rs._triples_with_gap(n))
-        assert len(calls) <= construct_rs2_steps(n, ctx) == greedy + 2 * math.comb(n, 3) ** 2
+        # One batch inversion for each point but the first and the last.
+        assert greedy_calls.count("inv") == n - 2
+        assert greedy_calls.count("mul") + greedy_calls.count("inv") == len(greedy_calls) <= greedy
+        maps = [name for name in check_calls if name.startswith("affine_")]
+        assert len(maps) == 2 * sum(1 for _ in rs._triples_with_gap(n))
+        assert len(greedy_calls) + len(maps) <= construct_rs2_steps(n, ctx) == greedy + 2 * math.comb(n, 3) ** 2
         gf1024 = field_from_size(1024)
         assert construct_rs2_steps(n, gf1024) == construct_rs2_steps(n, ctx) * 2 * 10 * 11
 
+    @pytest.mark.parametrize("q", [243, 1024])
+    def test_extension_steps_bound_the_field_work(self, monkeypatch, q):
+        ctx = field_from_size(q)
+        greedy_calls, _ = self._counted_run(monkeypatch, 5, ctx)
+        # The multiplies inside each inversion's power are counted too.
+        assert greedy_calls.count("inv") == 3
+        greedy = sum(math.comb(m, 2) ** 2 * (m + 2) for m in range(3, 5))
+        assert len(greedy_calls) <= greedy * 2 * ctx.m * q.bit_length()
+
     def test_step_cap_before_the_greedy(self, monkeypatch):
-        monkeypatch.setattr(rs, "affine_through", None)
-        for n, ctx in ((13, None), (16, None), (22, None), (12, field_from_size(2**20)), (6, field_from_size(4096))):
+        cases = ((13, None), (16, None), (22, None), (12, field_from_size(2**20)), (6, field_from_size(4096)))
+
+        def no_arithmetic(*args):
+            raise AssertionError("field arithmetic before the refusal")
+
+        for name in ("add", "sub", "neg", "mul", "inv", "div", "pow"):
+            monkeypatch.setattr(FieldCtx, name, no_arithmetic)
+        for n, ctx in cases:
             with pytest.raises(ScaleCapExceeded, match="weighted affine-map steps"):
                 construct_rs2(n, ctx)
 
@@ -249,6 +281,70 @@ class TestGreedyConstruction:
         monkeypatch.setattr(rs, "CONSTRUCT_STEP_CAP", construct_rs2_steps(5, gf243) - 1)
         with pytest.raises(ScaleCapExceeded, match="n=5 over GF\\(243\\) takes 36880 "):
             construct_rs2(5, gf243)
+
+
+def _map_by_map_forbidden(ctx, alphas):
+    """The points the earlier greedy forbade after alphas: the images of
+    alphas and the fixed points under one affine map for each ordered pair
+    of point pairs."""
+    forbidden = set(alphas)
+    for i, j in itertools.combinations(range(len(alphas)), 2):
+        for k, l in itertools.combinations(range(len(alphas)), 2):
+            sigma = affine_through(ctx, (alphas[i], alphas[j]), (alphas[k], alphas[l]))
+            forbidden.update(affine_apply(sigma, a) for a in alphas)
+            fixed = affine_fixed_points(sigma)
+            if fixed is not ALL_FIXED:
+                forbidden.update(fixed)
+    return forbidden
+
+
+def _map_by_map_rs2(n, ctx=None):
+    """``construct_rs2`` with its earlier greedy, which scanned from 0 for
+    each pick."""
+    threshold = rs2_field_threshold(n)
+    if ctx is None:
+        ctx = field_make(next_prime(threshold))
+    if ctx.q <= threshold:
+        raise DomainError(f"field size {ctx.q} does not exceed the threshold {threshold} for n={n}")
+    if construct_rs2_steps(n, ctx) > CONSTRUCT_STEP_CAP:
+        raise ScaleCapExceeded(f"n={n} over {ctx} is past the cap")
+    alphas = [0, 1, 2]
+    for _ in range(3, n):
+        forbidden = _map_by_map_forbidden(ctx, alphas)
+        alphas.append(next(c for c in range(ctx.q) if c not in forbidden))
+    code = RsCode(ctx, tuple(alphas), 2)
+    if not check_rs2_criterion(code)[0]:
+        raise RuntimeError("greedy vector failed the criterion")
+    return code
+
+
+@pytest.mark.parametrize("q,length,runs", [(31, 7, 20), (101, 7, 20), (64, 6, 2), (243, 5, 4)])
+def test_ratio_tables_forbid_the_map_images_and_fixed_points(q, length, runs):
+    ctx = field_from_size(q)
+    rng = random.Random(q)
+    for _ in range(runs):
+        points = rng.sample(range(q), length)
+        tables = rs._RatioTables(ctx)
+        for m, x in enumerate(points, 1):
+            tables.admit(x)
+            assert tables.forbidden == _map_by_map_forbidden(ctx, points[:m])
+
+
+def _outcome(build, n, q):
+    try:
+        return build(n, None if q is None else field_from_size(q)).alphas
+    except Exception as exc:  # noqa: BLE001 - the exception type is the outcome
+        return type(exc)
+
+
+PARITY_CASES = [(n, None) for n in range(4, 13)] + [
+    (n, q) for q in (243, 256, 343, 512, 625, 729, 1024) for n in range(4, 9)
+]
+
+
+@pytest.mark.parametrize("n,q", PARITY_CASES, ids=[f"n{n}-{q or 'default'}" for n, q in PARITY_CASES])
+def test_ratio_set_greedy_matches_the_map_by_map_greedy(n, q):
+    assert _outcome(construct_rs2, n, q) == _outcome(_map_by_map_rs2, n, q)
 
 
 class TestLowDistanceWitness:
