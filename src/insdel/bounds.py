@@ -12,7 +12,9 @@ import math
 import operator
 import sys
 import time
-from fractions import Fraction
+
+# The three rational bounds import ``fractions`` themselves, so that
+# exact-iq and counterexample, whose reports hold no Fraction, do not load it.
 
 from .errors import DomainError, ScaleCapExceeded
 from .lift import PAIR_CAP_ENV, pair_cap, verification_refusal
@@ -82,6 +84,8 @@ def levenshtein_lower_bound(q: int, n: int, d: int) -> Fraction:
     half = d // 2
     if half > n:
         raise DomainError(f"need d/2 <= n, got d={d}, n={n}")
+    from fractions import Fraction
+
     # Ball volume sum_{i <= d/2} C(n, i) (q-1)^i, each term from the last.
     term = ball = 1
     for i in range(half):
@@ -105,6 +109,8 @@ def distance_drop_threshold(q: int, n: int, k: int, delta: int) -> dict:
         raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
     if q < 2:
         raise DomainError(f"need q >= 2, got {q}")
+    from fractions import Fraction
+
     branches = []
     if 3 * k >= n + 1:
         h = (n - k) // 2 + 2
@@ -142,6 +148,8 @@ def field_size_threshold(n: int, k: int, delta: int) -> Fraction:
         raise DomainError(f"delta must be >= 2, got {delta}")
     if not 1 <= k <= n:
         raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
+    from fractions import Fraction
+
     if 3 * k > n + 1:
         return Fraction(2 ** ((n + k + 4) // (2 * (delta - 1))))
     base = Fraction((n - 2 * k + 1) ** (k - 1), 2 * math.factorial(k - 1))

@@ -9,32 +9,53 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import importlib
 import math
 import sys
-from fractions import Fraction
 
-from . import codefile
-from .bounds import (
-    counterexample_code,
-    exact_iq,
-    levenshtein_lower_bound,
-    singleton_bound,
-    size_upper_bound,
-)
-from .cw_l1 import L1ConstructionSpec, construct_l1
 from .errors import DomainError, InsdelError, ScaleCapExceeded
-from .gf import field_from_size
-from .lift import lift, pair_cap, verification_refusal
-from .rs import (
-    RsCode,
-    check_rs2_criterion,
-    construct_rs2,
-    low_distance_witness,
-    rs2_field_threshold,
-    rs_exhaustive_insdel,
-)
-from .words import CWL1, INSDEL, L1, Code, Word, code_min_distance, insdel_distance
+from .words import CWL1, INSDEL, L1, Word, code_min_distance, insdel_distance
+
+# What the subcommands call outside ``errors`` and ``words``: name -> the
+# module, or the module's attribute, it stands for. A subcommand loads the
+# modules of the names its code reads on its first run, so ``import
+# insdel.cli`` loads none of them. Subcommands call these names through this
+# module's globals, so a name patched on this module (perfbench/tracing.py
+# patches several) is the one that runs.
+_CALLEES = {
+    "codefile": "codefile",
+    "counterexample_code": "bounds.counterexample_code",
+    "exact_iq": "bounds.exact_iq",
+    "levenshtein_lower_bound": "bounds.levenshtein_lower_bound",
+    "singleton_bound": "bounds.singleton_bound",
+    "size_upper_bound": "bounds.size_upper_bound",
+    "L1ConstructionSpec": "cw_l1.L1ConstructionSpec",
+    "construct_l1": "cw_l1.construct_l1",
+    "field_from_size": "gf.field_from_size",
+    "lift": "lift.lift",
+    "pair_cap": "lift.pair_cap",
+    "verification_refusal": "lift.verification_refusal",
+    "RsCode": "rs.RsCode",
+    "check_rs2_criterion": "rs.check_rs2_criterion",
+    "construct_rs2": "rs.construct_rs2",
+    "low_distance_witness": "rs.low_distance_witness",
+    "rs2_field_threshold": "rs.rs2_field_threshold",
+    "rs_exhaustive_insdel": "rs.rs_exhaustive_insdel",
+}
+
+
+def __getattr__(name: str):
+    """Bind a callee of ``_CALLEES`` here on its first access."""
+    path = _CALLEES.get(name)
+    if path is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    home, _, attr = path.partition(".")
+    value = importlib.import_module(f"{__package__}.{home}")
+    if attr:
+        value = getattr(value, attr)
+    globals()[name] = value
+    return value
+
 
 COMMANDS = (
     "dist",
@@ -76,24 +97,36 @@ def _seconds(text: str) -> float:
     return value
 
 
-def _jsonable(value):
-    if isinstance(value, Fraction):
+def _jsonable(value, fraction):
+    if isinstance(value, fraction):
         return {"numerator": str(value.numerator), "denominator": str(value.denominator)}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [_jsonable(v, fraction) for v in value]
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+        return {str(k): _jsonable(v, fraction) for k, v in value.items()}
     if isinstance(value, Word):
         return list(value.symbols)
     return value
 
 
+@functools.cache
+def _json_encode():
+    """The encoder of ``json.dumps(obj, sort_keys=True)``, imported on the
+    first JSON report and built once rather than on every call."""
+    import json
+
+    return json.JSONEncoder(sort_keys=True).encode
+
+
 def _render(report: dict, as_json: bool) -> str:
+    # A report can hold a Fraction only once some module has loaded
+    # ``fractions``; until then ``isinstance(value, ())`` is false for all.
+    fraction = getattr(sys.modules.get("fractions"), "Fraction", ())
     if as_json:
-        return json.dumps(_jsonable(report), sort_keys=True) + "\n"
+        return _json_encode()(_jsonable(report, fraction)) + "\n"
     lines = []
     for key, value in report.items():
-        if isinstance(value, Fraction):
+        if isinstance(value, fraction):
             value = f"{value.numerator}/{value.denominator}"
         lines.append(f"{key}={value}\n")
     return "".join(lines)
@@ -328,7 +361,8 @@ _SHARED = {
     "--threads": {
         "type": _thread_count,
         "default": 1,
-        "help": "worker cap for sweeps; results are independent of it",
+        "help": "accepted on every subcommand; every command runs sequentially, "
+        "so results do not depend on it",
     },
 }
 _INT = {"type": int, "required": True}
@@ -396,6 +430,26 @@ _DISPATCH = {
 }
 
 
+def _code_names(code) -> set[str]:
+    """The global and attribute names a code object and its nested ones read."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, type(code)):
+            names |= _code_names(const)
+    return names
+
+
+@functools.cache
+def _handler(command: str):
+    """The subcommand's handler, with the callees its code names bound here
+    on first use; a name already bound (or patched) stays as it is."""
+    handler = _DISPATCH[command]
+    for name in _code_names(handler.__code__) & _CALLEES.keys():
+        if name not in globals():
+            __getattr__(name)
+    return handler
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if not argv or argv[0] in ("-h", "--help"):
@@ -406,7 +460,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"insdel: unknown subcommand {command!r}\n{USAGE}")
         return 64
     try:
-        return _DISPATCH[command](_parser(command).parse_args(rest))
+        args = _parser(command).parse_args(rest)
+        return _handler(command)(args)
     except SystemExit as exc:  # argparse exits after printing -h/--help; error() raises DomainError
         return exc.code
     except ScaleCapExceeded as exc:
