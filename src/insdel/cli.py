@@ -37,6 +37,7 @@ _CALLEES = {
     "verification_refusal": "lift.verification_refusal",
     "RsCode": "rs.RsCode",
     "check_rs2_criterion": "rs.check_rs2_criterion",
+    "check_sweep_cap": "rs.check_sweep_cap",
     "construct_rs2": "rs.construct_rs2",
     "low_distance_witness": "rs.low_distance_witness",
     "rs2_field_threshold": "rs.rs2_field_threshold",
@@ -232,6 +233,8 @@ def _cmd_verify_rs2(a):
     if len(a.alphas) != a.n:
         raise DomainError(f"expected {a.n} evaluation points, got {len(a.alphas)}")
     code = RsCode(field_from_size(a.q), a.alphas, 2)
+    if a.exhaustive and a.n >= 3:  # n < 3 is the criterion's own exit-1 refusal
+        check_sweep_cap(code)
     ok, witness = check_rs2_criterion(code)
     report = {
         "command": "verify-rs2",

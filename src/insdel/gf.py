@@ -104,6 +104,8 @@ class FieldCtx:
     def add(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a + b) % self.p
+        if self.p == 2:  # digit-wise sum mod 2
+            return a ^ b
         return self.encode(
             (x + y) % self.p for x, y in zip(self.decode(a), self.decode(b))
         )
@@ -111,6 +113,8 @@ class FieldCtx:
     def sub(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a - b) % self.p
+        if self.p == 2:  # -1 = 1 mod 2
+            return a ^ b
         return self.encode(
             (x - y) % self.p for x, y in zip(self.decode(a), self.decode(b))
         )

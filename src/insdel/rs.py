@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import getitem
 
 from .errors import DomainError, ScaleCapExceeded
 from .gf import FieldCtx, Matrix, Polynomial, det, field_make, next_prime, nullspace
@@ -50,16 +51,6 @@ def rs_encode(code: RsCode, f: Polynomial) -> tuple[int, ...]:
     if f.degree >= code.k:
         raise DomainError(f"message degree {f.degree} not below k={code.k}")
     return tuple(f(a) for a in code.alphas)
-
-
-def _encode_coeffs(ctx: FieldCtx, alphas, coeffs) -> tuple[int, ...]:
-    out = []
-    for a in alphas:
-        acc = 0
-        for c in reversed(coeffs):
-            acc = ctx.add(ctx.mul(acc, a), c)
-        out.append(acc)
-    return tuple(out)
 
 
 class AffineMap(Value):
@@ -285,9 +276,41 @@ def construct_rs2(n: int, ctx: FieldCtx | None = None) -> RsCode:
     return code
 
 
-def _all_messages(ctx: FieldCtx, k: int):
-    for coeffs in itertools.product(range(ctx.q), repeat=k):
-        yield coeffs
+def check_sweep_cap(code: RsCode, cap: int = EXHAUSTIVE_CAP) -> None:
+    """Refuse an exhaustive sweep of more than ``cap`` codewords, q^k."""
+    count = code.ctx.q**code.k
+    if count > cap:
+        raise ScaleCapExceeded(f"{count} codewords exceed the sweep cap {cap}")
+
+
+def _codebook(code: RsCode) -> list[tuple[int, ...]]:
+    """Every codeword, messages in ``itertools.product`` order of their
+    low-first coefficient tuples, built by linearity.
+
+    The codeword of (c_0, ..., c_{k-1}) is the sum of the rows
+    c_j * (alpha_i^j)_i. Starting from the constant words (c_0, ..., c_0),
+    each degree j appends every one of its q scaled rows to every word so
+    far, one ``map`` over a q x q addition table per codeword. Scaling
+    the previous degree's rows by the alphas gives the next degree's. A
+    k = 1 code needs no table, and for k >= 2 it holds q^2 <= q^k
+    entries, within the sweep cap.
+    """
+    ctx, alphas = code.ctx, code.alphas
+    q, n = ctx.q, code.n
+    scaled = [(c,) * n for c in range(q)]  # c * alpha_i^0
+    words = scaled
+    if code.k > 1:
+        add, mul = ctx.add, ctx.mul
+        # Rows are lists: CPython keeps up to 2000 freed tuples of each
+        # length below 20 for reuse, so q-tuples would stay allocated.
+        sums = [[add(a, b) for b in range(q)] for a in range(q)]  # sums[a][b] = a + b
+        for _ in range(1, code.k):
+            scaled = [tuple(map(mul, row, alphas)) for row in scaled]
+            # A row's lookup holds the table row of each of its symbols, so
+            # word + row is one C-level map of getitem over it and the word.
+            lookups = [tuple(sums[x] for x in row) for row in scaled]
+            words = [tuple(map(getitem, t, w)) for w in words for t in lookups]
+    return words
 
 
 def _is_orbit_representative(coeffs) -> bool:
@@ -305,7 +328,13 @@ def rs_exhaustive_insdel(code: RsCode, cap: int = EXHAUSTIVE_CAP):
 
     Messages are indexed in ``itertools.product`` order of their low-first
     coefficient tuples, and the witness is the minimising pair (i, j),
-    i < j, that comes first lexicographically.
+    i < j, that comes first lexicographically. Past ``cap`` codewords
+    (``check_sweep_cap``) it refuses before any work.
+
+    The codebook is built by linearity (``_codebook``): q^2 field
+    additions for one addition table and (k-1)*q*n multiplications for
+    the scaled basis rows, none at all for k = 1, then one table lookup
+    per symbol of each of the q^k codewords and no field call.
 
     Relabelling symbols by y -> a*y + c (a != 0) sends the codewords of f
     and g to those of a*f + c and a*g + c at the same insdel distance, so
@@ -326,12 +355,9 @@ def rs_exhaustive_insdel(code: RsCode, cap: int = EXHAUSTIVE_CAP):
     such message i is a representative, no earlier representative has a
     minimising partner, and every partner of i lies above i.
     """
-    count = code.ctx.q**code.k
-    if count > cap:
-        raise ScaleCapExceeded(f"{count} codewords exceed the sweep cap {cap}")
-    ctx = code.ctx
-    messages = list(_all_messages(ctx, code.k))
-    words = [_encode_coeffs(ctx, code.alphas, coeffs) for coeffs in messages]
+    check_sweep_cap(code, cap)
+    words = _codebook(code)
+    messages = itertools.product(range(code.ctx.q), repeat=code.k)
     reps = [r for r, coeffs in enumerate(messages) if _is_orbit_representative(coeffs)]
     low, r, g = closest_pair(words, code.n, reps, upper=False)
     return 2 * low, (words[r], words[g])

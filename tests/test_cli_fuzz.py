@@ -146,7 +146,7 @@ COUNTEREXAMPLE = _argv(
 VERIFY_RS2 = _argv(
     "verify-rs2",
     {
-        "--q": _ints(-1, 0, 1, 2, 4, 7, 16, HUGE, PRIME, PRIME**2),
+        "--q": _ints(-1, 0, 1, 2, 4, 7, 16, 64, 81, HUGE, PRIME, PRIME**2),
         "--n": _ints(-1, 0, 1, 3, 4, HUGE),
         "--alphas": st.lists(st.sampled_from([-1, 0, 1, 2, 3, 5, HUGE]), max_size=5).map(
             lambda xs: ",".join(map(str, xs))

@@ -113,6 +113,31 @@ class TestCliExitCodes:
         result = run_cli("exact-iq", "--q", "3", "--n", "9", "--d", "4")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("q, n, count", [(101, 4, 101**2), (1048576, 12, 1048576**2)])
+    def test_sweep_cap_refuses_before_the_criterion(self, monkeypatch, capsys, q, n, count):
+        def criterion(code):
+            raise AssertionError(f"criterion ran on a refused sweep over {code.ctx}")
+
+        monkeypatch.setattr(cli, "check_rs2_criterion", criterion)
+        alphas = ",".join(str(3 * i + 1) for i in range(n))
+        argv = ["verify-rs2", "--q", str(q), "--n", str(n), "--alphas", alphas, "--exhaustive"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"insdel verify-rs2: scale cap: {count} codewords exceed the sweep cap 10000\n"
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("--n", "3", "--alphas", "0,1"), "expected 3 evaluation points, got 2"),
+            (("--n", "2", "--alphas", "0,1"), "criterion needs n >= 3, got n=2"),
+            (("--n", "3", "--alphas", "0,1,1"), "evaluation points must be pairwise distinct"),
+        ],
+    )
+    def test_verify_rs2_domain_errors_come_before_the_sweep_cap(self, capsys, args, message):
+        # GF(2^20) is past the sweep cap at k = 2; these inputs are refused
+        # for their own reasons first, as they are without --exhaustive.
+        assert cli.main(["verify-rs2", "--q", "1048576", *args, "--exhaustive"]) == 1
+        assert capsys.readouterr().err.endswith(f"{message}\n")
+
     def test_exact_iq_clique_of_every_vertex(self):
         # 1024 vertices at pairwise distance >= 2: the clique is the whole
         # graph, one search level per vertex.

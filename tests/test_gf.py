@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,11 @@ from insdel.gf import (
 )
 
 SMALL_FIELDS = [field_make(2), field_make(5), field_make(2, 3), field_make(3, 2)]
+
+
+def _digitwise(ctx, a, b, sign):
+    """a + sign * b from base-p digit vectors, the definition of field addition."""
+    return ctx.encode((x + sign * y) % ctx.p for x, y in zip(ctx.decode(a), ctx.decode(b)))
 
 
 class TestPrimes:
@@ -59,6 +65,22 @@ class TestFieldArithmetic:
             lhs = ctx.mul(a, ctx.add(b, c))
             rhs = ctx.add(ctx.mul(a, b), ctx.mul(a, c))
             assert lhs == rhs
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 8])
+    def test_binary_add_sub_all_pairs(self, m):
+        ctx = field_make(2, m)
+        for a, b in itertools.product(ctx.elements(), repeat=2):
+            assert ctx.add(a, b) == _digitwise(ctx, a, b, 1)
+            assert ctx.sub(a, b) == _digitwise(ctx, a, b, -1)
+
+    def test_binary_add_sub_random_pairs(self):
+        ctx = field_make(2, 20)
+        rng = random.Random(20)
+        for _ in range(2000):
+            a, b = rng.randrange(ctx.q), rng.randrange(ctx.q)
+            assert ctx.add(a, b) == _digitwise(ctx, a, b, 1)
+            assert ctx.sub(a, b) == _digitwise(ctx, a, b, -1)
+            assert ctx.neg(a) == _digitwise(ctx, 0, a, -1)
 
     def test_modulus_is_smallest_irreducible(self):
         # x^2 + x + 1 is the only irreducible quadratic over GF(2).

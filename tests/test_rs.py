@@ -165,7 +165,9 @@ def _full_sweep(code):
 class TestExhaustiveSweep:
     @pytest.mark.parametrize(
         "q, k",
-        [(7, 1), (8, 1), (5, 2), (7, 2), (13, 2), (4, 2), (8, 2), (9, 2), (16, 2), (4, 3), (5, 3)],
+        [(7, 1), (8, 1)]
+        + [(5, 2), (7, 2), (13, 2), (4, 2), (8, 2), (9, 2), (16, 2), (25, 2), (27, 2)]
+        + [(4, 3), (5, 3), (8, 3), (9, 3)],
     )
     def test_matches_full_sweep(self, q, k):
         ctx = field_from_size(q)
@@ -174,6 +176,28 @@ class TestExhaustiveSweep:
             for _ in range(2):
                 code = RsCode(ctx, tuple(rng.sample(range(q), n)), k)
                 assert rs_exhaustive_insdel(code) == _full_sweep(code), code.alphas
+
+    @pytest.mark.parametrize(
+        "q, k, n", [(7, 1, 5), (16, 1, 6), (7, 2, 5), (16, 2, 4), (27, 2, 6), (4, 3, 4), (8, 3, 6), (4, 4, 4)]
+    )
+    def test_codebook_field_calls(self, monkeypatch, q, k, n):
+        # One q x q addition table and q scaled rows per degree 1..k-1;
+        # no field call for any single codeword.
+        code = RsCode(field_from_size(q), tuple(random.Random(q * n + k).sample(range(q), n)), k)
+        calls = []
+
+        def counting(name):
+            fn = getattr(FieldCtx, name)
+            return lambda *args: calls.append(name) or fn(*args)
+
+        for name in ("add", "sub", "neg", "mul", "inv", "div", "pow"):
+            monkeypatch.setattr(FieldCtx, name, counting(name))
+        rs_exhaustive_insdel(code)
+        if k == 1:
+            assert calls == []
+        assert calls.count("add") <= q * q
+        assert calls.count("mul") <= (k - 1) * q * n
+        assert set(calls) <= {"add", "mul"}
 
     @pytest.mark.parametrize("q, k", [(7, 1), (7, 2), (4, 3)])
     def test_sweeps_one_representative_per_orbit(self, q, k, monkeypatch):
