@@ -7,11 +7,11 @@ switches every report to a single JSON document on stdout. Exit codes:
 
 from __future__ import annotations
 
-import argparse
 import functools
 import importlib
 import math
 import sys
+import types
 
 from .errors import DomainError, InsdelError, ScaleCapExceeded
 from .words import CWL1, INSDEL, L1, Word, code_min_distance, insdel_distance
@@ -75,15 +75,10 @@ COMMANDS = (
 USAGE = "usage: insdel {" + ",".join(COMMANDS) + "} [options]\n"
 
 
-class _Parser(argparse.ArgumentParser):
-    """Argument errors are parameter-domain errors, exit code 1."""
-
-    def error(self, message):
-        raise DomainError(message)
-
-
 def _thread_count(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return int(text)
 
@@ -94,6 +89,8 @@ def _seconds(text: str) -> float:
     except ValueError:
         value = math.nan
     if not 0 < value < math.inf:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
     return value
 
@@ -149,7 +146,7 @@ def _emit(report: dict, as_json: bool) -> None:
 
 def _int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in text.split(",") if x != "")
+        return tuple(map(int, filter(None, text.split(","))))  # empty items skipped
     except ValueError as exc:
         raise DomainError(f"expected a comma-separated integer list, got {text!r}") from exc
 
@@ -408,14 +405,90 @@ _OPTIONS = {
 }
 
 
+# The option-spec keys ``_parse`` models; ``_options`` refuses any other.
+_MODELLED = frozenset({"type", "default", "required", "action", "choices", "dest", "help"})
+
+
+def _argument_error(message):
+    """argparse's error hook: an argument error is a parameter-domain
+    error, exit code 1."""
+    raise DomainError(message)
+
+
 @functools.cache
-def _parser(name: str) -> _Parser:
-    """The subcommand's parser, built on first use and kept: building one
-    costs several times what a parse does."""
-    p = _Parser(prog=f"insdel {name}", add_help=True)
+def _parser(name: str):
+    """The subcommand's argparse parser, built on first use and kept:
+    building one costs several times what a parse does. ``argparse`` loads
+    with the first one."""
+    import argparse
+
+    p = argparse.ArgumentParser(prog=f"insdel {name}", add_help=True)
+    p.error = _argument_error
     for flag, spec in {**_SHARED, **_OPTIONS[name]}.items():
         p.add_argument(flag, **spec)
     return p
+
+
+@functools.cache
+def _options(name: str):
+    """The subcommand's option table for ``_parse``: flag -> (dest, takes
+    a value, type, choices); argparse's defaults by dest, in its order;
+    the required flags. Raises on a spec ``_parse`` does not model, so an
+    option cannot silently parse otherwise than argparse parses it."""
+    table, defaults, required = {}, {}, set()
+    for flag, spec in {**_SHARED, **_OPTIONS[name]}.items():
+        switch = spec.get("action") == "store_true"
+        if (
+            spec.keys() - _MODELLED
+            or "action" in spec and not switch
+            # argparse passes a str default through the option's type.
+            or "type" in spec and isinstance(spec.get("default"), str)
+        ):
+            raise TypeError(f"insdel {name} {flag}: option spec {spec} is not modelled by _parse")
+        dest = spec.get("dest", flag[2:].replace("-", "_"))
+        table[flag] = (dest, not switch, spec.get("type"), spec.get("choices"))
+        defaults[dest] = spec.get("default", False if switch else None)
+        if spec.get("required"):
+            required.add(flag)
+    return table, defaults, frozenset(required)
+
+
+def _parse(command: str, argv):
+    """argparse's namespace for a canonical argv, or None for any other.
+
+    An argv is canonical when every token is an exact long option of the
+    subcommand, given at most once; each option that takes a value is
+    followed by a str not starting with "-" that passes the option's type
+    and choices; and every required option is present. argparse answers
+    every other argv (help, abbreviations, --opt=value, repeats, values
+    starting with "-", errors) as it always has.
+    """
+    table, values, required = _options(command)
+    values = dict(values)
+    seen = set()
+    tokens = iter(argv)
+    for flag in tokens:
+        if type(flag) is not str or flag in seen or flag not in table:
+            return None
+        seen.add(flag)
+        dest, takes_value, convert, choices = table[flag]
+        if not takes_value:
+            values[dest] = True
+            continue
+        value = next(tokens, None)
+        if type(value) is not str or value[:1] == "-":
+            return None
+        if convert is not None:
+            try:
+                value = convert(value)
+            except Exception:  # noqa: BLE001 - argparse reports it
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    if not required <= seen:
+        return None
+    return types.SimpleNamespace(**values)
 
 
 _DISPATCH = {
@@ -463,7 +536,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"insdel: unknown subcommand {command!r}\n{USAGE}")
         return 64
     try:
-        args = _parser(command).parse_args(rest)
+        args = _parse(command, rest) or _parser(command).parse_args(rest)
         return _handler(command)(args)
     except SystemExit as exc:  # argparse exits after printing -h/--help; error() raises DomainError
         return exc.code

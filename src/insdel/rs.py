@@ -19,7 +19,9 @@ from .value import Value, _set
 from .words import closest_pair, lcs_length_raw
 
 EXHAUSTIVE_CAP = 10**4  # max q^k codewords for the exhaustive sweep
-CONSTRUCT_STEP_CAP = 3 * 10**5  # construct_rs2_steps; n = 12 over a prime field fits, n = 13 does not
+CONSTRUCT_STEP_CAP = 15 * 10**4  # construct_rs2_steps; n = 13 over a prime field fits, n = 14 does not
+CRITERION_STEP_CAP = CONSTRUCT_STEP_CAP  # criterion_steps; n = 14 over a prime field fits, n = 15 does not
+WITNESS_STEP_CAP = 2 * 10**6  # witness_steps; k = 27 over a prime field at the least n fits, k = 28 does not
 
 ALL_FIXED = "all"
 
@@ -111,6 +113,27 @@ def affine_fixed_points(s: AffineMap):
     return frozenset({ctx.div(s.b, ctx.sub(1, s.a))})
 
 
+def _weight(ctx: FieldCtx) -> int:
+    """Prime-field steps that one step over ``ctx`` weighs. Over GF(p^e),
+    e > 1, a multiply is a product of degree-e polynomials and an
+    inversion a power of one, so a step weighs 2e*bitlength(q). That is
+    an upper bound: measured from GF(729) to GF(2^20), an affine-map step
+    costs 1.4 to 2.3 times less than its weight, and over GF(1024) a
+    multiply about 7 times less."""
+    return 1 if ctx.m == 1 else 2 * ctx.m * ctx.q.bit_length()
+
+
+def criterion_steps(n: int, ctx: FieldCtx) -> int:
+    """Upper bound on the work of ``check_rs2_criterion`` on n points, in
+    weighted affine-map steps: one map built and applied for each ordered
+    pair of index triples that differ in at least two slots. Of the
+    C(n,3)^2 ordered pairs, C(n,3) differ in no slot and 6 C(n,4) in one
+    (a 4-set gives two such ordered pairs for each slot), so a vector
+    that meets the criterion takes exactly this many steps."""
+    triples = math.comb(n, 3)
+    return (triples * triples - triples - 6 * math.comb(n, 4)) * _weight(ctx)
+
+
 def _triples_with_gap(n: int):
     """Ordered pairs of increasing index triples differing in >= 2 slots."""
     triples = list(itertools.combinations(range(n), 3))
@@ -127,13 +150,19 @@ def check_rs2_criterion(code: RsCode):
     can carry one triple onto the other (the map is determined by two point
     images), so scanning ordered triple pairs suffices. On failure the
     witness (i, j, map) converts to two codewords sharing a length-3
-    subsequence.
+    subsequence. Past CRITERION_STEP_CAP steps of ``criterion_steps`` it
+    refuses before the scan.
     """
     if code.k != 2:
         raise DomainError(f"criterion applies to k=2, got k={code.k}")
     if code.n < 3:
         raise DomainError(f"criterion needs n >= 3, got n={code.n}")
     ctx = code.ctx
+    steps = criterion_steps(code.n, ctx)
+    if steps > CRITERION_STEP_CAP:
+        raise ScaleCapExceeded(
+            f"n={code.n} over {ctx} takes {steps} weighted affine-map steps, past the cap {CRITERION_STEP_CAP}"
+        )
     alphas = code.alphas
     for i, j in _triples_with_gap(code.n):
         src = (alphas[i[0]], alphas[i[1]])
@@ -153,20 +182,25 @@ def rs2_field_threshold(n: int) -> int:
 
 
 def construct_rs2_steps(n: int, ctx: FieldCtx) -> int:
-    """Upper bound on the work of ``construct_rs2(n, ctx)`` in map steps.
+    """Upper bound on the work of ``construct_rs2(n, ctx)``: the greedy's
+    field multiplies and inversions plus the criterion re-check's
+    ``criterion_steps``, weighted alike.
 
-    The formula counts the affine maps a map-by-map greedy would build or
-    apply: from m points, C(m,2)^2 maps, each applied to the m points and
-    to its fixed point. The ratio-set greedy (``_RatioTables``) does at
-    most that many field multiplies and inversions. The criterion re-check
-    builds and applies one map for each of at most C(n,3)^2 triple pairs.
-    A step costs at most one field inversion and a few multiplies; over
-    GF(p^e), e > 1, an inversion is a power of degree-e polynomials, so a
-    step weighs 2e*bitlength(q) prime-field steps (measured from GF(64) to
-    GF(2^20): at most 10 % under the true ratio and at most 50 % over
-    it)."""
-    steps = sum(math.comb(m, 2) ** 2 * (m + 2) for m in range(3, n)) + 2 * math.comb(n, 3) ** 2
-    return steps if ctx.m == 1 else steps * 2 * ctx.m * ctx.q.bit_length()
+    Admitting a point to m points with P = C(m,2) pairs
+    (``_RatioTables.admit``) takes at most 3mP multiplies for the fixed
+    points, 3(m + mP) and one inversion for the batch, f <= P + m(m-1)
+    for the fresh ratios, Pf for their images on the old pairs and mR for
+    all R ratios so far on the m new pairs. The first point costs
+    nothing. A multiply costs much less than an affine-map step, and the
+    re-check is most of a run.
+    """
+    greedy = ratios = 0
+    for m in range(1, n - 1):
+        pairs = math.comb(m, 2)
+        fresh = pairs + m * (m - 1)
+        ratios += fresh
+        greedy += 3 * m * pairs + 3 * (m + m * pairs) + 1 + fresh + pairs * fresh + m * ratios
+    return greedy * _weight(ctx) + criterion_steps(n, ctx)
 
 
 def _inverses(ctx: FieldCtx, values: list[int]) -> list[int]:
@@ -249,7 +283,9 @@ def construct_rs2(n: int, ctx: FieldCtx | None = None) -> RsCode:
     determined by pairs of already-chosen points (see ``_RatioTables``).
     The full criterion is re-checked afterwards and a failure is an
     internal error, not a data condition. Past CONSTRUCT_STEP_CAP steps of
-    ``construct_rs2_steps`` it refuses before the greedy starts.
+    ``construct_rs2_steps`` it refuses before the greedy starts. Those
+    steps include the re-check's ``criterion_steps``, and the two caps are
+    equal, so the re-check is never refused.
     """
     threshold = rs2_field_threshold(n)
     if ctx is None:
@@ -260,9 +296,7 @@ def construct_rs2(n: int, ctx: FieldCtx | None = None) -> RsCode:
         )
     steps = construct_rs2_steps(n, ctx)
     if steps > CONSTRUCT_STEP_CAP:
-        raise ScaleCapExceeded(
-            f"n={n} over {ctx} takes {steps} weighted affine-map steps, past the cap {CONSTRUCT_STEP_CAP}"
-        )
+        raise ScaleCapExceeded(f"n={n} over {ctx} takes {steps} weighted steps, past the cap {CONSTRUCT_STEP_CAP}")
     tables = _RatioTables(ctx)
     x = 0
     for m in range(1, n):
@@ -449,6 +483,37 @@ def _last_column_cofactors(ctx, alphas, ii, jj, rows):
     return cofactors
 
 
+def _det_steps(r: int) -> int:
+    """Multiplies and inversions of ``det`` on an r x r matrix, at most."""
+    return 2 * r + r * (r - 1) * (2 * r + 5) // 6
+
+
+def witness_steps(n: int, k: int, ctx: FieldCtx) -> int:
+    """Upper bound on the work of ``low_distance_witness`` for an [n, k]
+    code: its field multiplies and inversions, weighted by ``_weight``,
+    plus the LCS of its two codewords.
+
+    A power alpha^s, s < k, takes at most 2 bitlength(k) multiplies. Each
+    step d = 3..k-1 of ``invertible_difference_indices`` takes the powers
+    of a d x (d-1) matrix, d minors of order d-1, and d powers and
+    multiplies for each of at most (d+1)(d+2)/2 - 1 candidates and the
+    constant term; then the difference matrix of order k-1 and its
+    determinant. The certificate takes the powers of the evaluation
+    matrix, the row reduction of its (2k-2) x (2k-1) transpose, 2k-2
+    evaluations of f and of g and the 2n of the two codewords. The
+    bit-parallel LCS of two length-n words steps n times over n-bit ints,
+    which costs about a multiply per 2048 bits.
+    """
+    power = 2 * k.bit_length()
+    ops = 0
+    for d in range(3, k):
+        candidates = (d + 1) * (d + 2) // 2 - 1
+        ops += 2 * d * (d - 1) * power + d * _det_steps(d - 1) + candidates * d * (power + 1)
+    ops += 4 * (k - 1) ** 2 * power + _det_steps(k - 1)
+    ops += (2 * k - 2) * (1 + (2 * k - 2) * (2 * k - 1)) + 2 * (2 * k - 2) * k + 2 * n * k
+    return ops * _weight(ctx) + n * (n // 2048 + 1)
+
+
 def low_distance_witness(code: RsCode, k: int | None = None) -> dict:
     """Two distinct degree-(<k) messages whose codewords share a length
     2k-2 common subsequence, certifying insdel distance <= 2n-4k+4.
@@ -456,7 +521,9 @@ def low_distance_witness(code: RsCode, k: int | None = None) -> dict:
     The index vectors from the inductive construction are extended by the
     smallest fresh increasing indices, a left-nullspace vector of the tall
     evaluation matrix supplies the coefficients, and the certificate is
-    re-verified by direct evaluation and an LCS computation.
+    re-verified by direct evaluation and an LCS computation. Past
+    WITNESS_STEP_CAP steps of ``witness_steps`` it refuses before any of
+    that work.
     """
     if k is None:
         k = code.k
@@ -466,6 +533,11 @@ def low_distance_witness(code: RsCode, k: int | None = None) -> dict:
     if code.n < need:
         raise DomainError(f"need n >= {need} for k={k}, got n={code.n}")
     ctx = code.ctx
+    steps = witness_steps(code.n, k, ctx)
+    if steps > WITNESS_STEP_CAP:
+        raise ScaleCapExceeded(
+            f"k={k}, n={code.n} over {ctx} takes {steps} weighted field steps, past the cap {WITNESS_STEP_CAP}"
+        )
     alphas = code.alphas
     ii, jj = invertible_difference_indices(code, k)
     ii = list(ii) + list(range(ii[-1] + 1, ii[-1] + k))

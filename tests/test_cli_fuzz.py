@@ -49,22 +49,25 @@ for line in sys.stdin:
 
 
 class Worker:
-    """One interpreter running ``insdel.cli.main`` on each argv it is sent;
-    replaced after a call that overruns."""
+    """One interpreter running a script (``WORKER`` by default: one call of
+    ``insdel.cli.main``) on each argv it is sent; replaced after a call
+    that overruns."""
 
-    def __init__(self):
+    def __init__(self, script=WORKER, seconds=SECONDS):
+        self.script, self.seconds = script, seconds
         self.proc = None
 
     def run(self, argv):
-        """(exit code, stderr) of one call, or None past the time limit."""
+        """The script's answer for one argv ((exit code, stderr) for
+        ``WORKER``), or None past the time limit."""
         if self.proc is None:
             env = dict(os.environ, PYTHONPATH=str(SRC))
             self.proc = subprocess.Popen(
-                [sys.executable, "-c", WORKER], stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env
+                [sys.executable, "-c", self.script], stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env
             )
         self.proc.stdin.write(json.dumps(argv).encode() + b"\n")
         self.proc.stdin.flush()
-        ready, _, _ = select.select([self.proc.stdout], [], [], SECONDS)
+        ready, _, _ = select.select([self.proc.stdout], [], [], self.seconds)
         if not ready:
             self.close()
             return None
@@ -173,12 +176,30 @@ DIST = _argv(
     flags=("--json",),
 )
 
+# n = 13 is the step cap's frontier over a prime field (0.6 to 0.9 s);
+# n = 14 is refused.
 CONSTRUCT_RS2 = _argv(
     "construct-rs2",
-    {"--n": _ints(-1, 0, 1, 3, 4, 5, 8, 12, 16, 22, HUGE)},
-    {"--q": _ints(-1, 0, 1, 2, 4, 7, 16, 64, 1024, 2**20, HUGE, PRIME)},
+    {"--n": _ints(-1, 0, 1, 3, 4, 5, 8, 12, 13, 14, 16, 22, HUGE)},
+    {"--q": _ints(-1, 0, 1, 2, 4, 7, 16, 64, 1024, 2**20, 1048573, HUGE, PRIME)},
     flags=("--json",),
 )
+
+# Long calls at the work caps over the largest prime field: a vector that
+# meets the criterion at n = 13 (a full scan, under 1 s), the least n the
+# criterion cap refuses, the largest k the witness cap admits at its least
+# n (about 0.5 s) and the least k it refuses.
+AT_THE_CAPS = st.tuples(
+    st.sampled_from(
+        [
+            ["verify-rs2", "--q", "1048573", "--n", "13", "--alphas", "0,1,2,5,7,18,24,44,59,67,101,218,225"],
+            ["verify-rs2", "--q", "1048573", "--n", "15", "--alphas", ",".join(map(str, range(15)))],
+            ["witness-rs", "--q", "1048573", "--k", "27", "--alphas", ",".join(map(str, range(402)))],
+            ["witness-rs", "--q", "1048573", "--k", "28", "--alphas", ",".join(map(str, range(431)))],
+        ]
+    ),
+    st.sampled_from([[], ["--json"]]),
+).map(lambda parts: parts[0] + parts[1])
 
 WITNESS_RS = _argv(
     "witness-rs",
@@ -230,6 +251,7 @@ def _check_call(worker, argv):
         DIST,
         CONSTRUCT_RS2,
         WITNESS_RS,
+        AT_THE_CAPS,
         BOUNDS,
         SELFTEST,
     )

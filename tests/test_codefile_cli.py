@@ -8,6 +8,7 @@ from insdel import acceptance, cli, codefile
 from insdel.bounds import counterexample_code
 from insdel.cw_l1 import L1ConstructionSpec, construct_l1
 from insdel.errors import DomainError
+from insdel.gf import FieldCtx
 from insdel.lift import lift
 from insdel.words import CWL1, Code, Composition, Word
 
@@ -137,6 +138,37 @@ class TestCliExitCodes:
         # for their own reasons first, as they are without --exhaustive.
         assert cli.main(["verify-rs2", "--q", "1048576", *args, "--exhaustive"]) == 1
         assert capsys.readouterr().err.endswith(f"{message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["verify-rs2", "--q", "1048573", "--n", "15", "--alphas", ",".join(map(str, range(15)))],
+                "n=15 over GF(1048573) takes 198380 weighted affine-map steps, past the cap 150000",
+            ),
+            (
+                ["verify-rs2", "--q", "1048576", "--n", "6", "--alphas", "0,1,2,3,4,5"],
+                "n=6 over GF(1048576) takes 243600 weighted affine-map steps, past the cap 150000",
+            ),
+            (
+                ["witness-rs", "--q", "1048573", "--k", "28", "--alphas", ",".join(map(str, range(431)))],
+                "k=28, n=431 over GF(1048573) takes 2238832 weighted field steps, past the cap 2000000",
+            ),
+            (
+                ["construct-rs2", "--n", "14"],
+                "n=14 over GF(85193) takes 210456 weighted steps, past the cap 150000",
+            ),
+        ],
+        ids=["verify-rs2-prime", "verify-rs2-extension", "witness-rs", "construct-rs2"],
+    )
+    def test_work_caps_refuse_before_the_work(self, monkeypatch, capsys, argv, message):
+        def no_arithmetic(*args):
+            raise AssertionError("field arithmetic before the refusal")
+
+        for name in ("add", "sub", "neg", "mul", "inv", "div", "pow"):
+            monkeypatch.setattr(FieldCtx, name, no_arithmetic)
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"insdel {argv[0]}: scale cap: {message}\n")
 
     def test_exact_iq_clique_of_every_vertex(self):
         # 1024 vertices at pairwise distance >= 2: the clique is the whole

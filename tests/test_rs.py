@@ -5,12 +5,14 @@ import random
 import pytest
 
 from insdel.errors import DomainError, ScaleCapExceeded
-from insdel.gf import FieldCtx, Matrix, Polynomial, det, field_from_size, field_make, next_prime
+from insdel.gf import SIZE_CAP, FieldCtx, Matrix, Polynomial, det, field_from_size, field_make, is_prime, next_prime
 import insdel.rs as rs
 from insdel.rs import (
     ALL_FIXED,
     CONSTRUCT_STEP_CAP,
+    CRITERION_STEP_CAP,
     EXHAUSTIVE_CAP,
+    WITNESS_STEP_CAP,
     AffineMap,
     RsCode,
     affine_apply,
@@ -19,11 +21,13 @@ from insdel.rs import (
     check_rs2_criterion,
     construct_rs2,
     construct_rs2_steps,
+    criterion_steps,
     invertible_difference_indices,
     low_distance_witness,
     rs2_field_threshold,
     rs_encode,
     rs_exhaustive_insdel,
+    witness_steps,
 )
 from insdel.words import PackedWords, insdel_distance_raw, lcs_length_raw
 
@@ -260,19 +264,23 @@ class TestGreedyConstruction:
         construct_rs2(n, ctx)
         return calls[: before_check[0]], calls[before_check[0] :]
 
-    @pytest.mark.parametrize("n", [4, 5, 6, 8])
+    @pytest.mark.parametrize("n", [4, 5, 6, 8, 10])
     def test_steps_count_the_map_work(self, monkeypatch, n):
         ctx = field_make(next_prime(rs2_field_threshold(n)))
         greedy_calls, check_calls = self._counted_run(monkeypatch, n, ctx)
-        greedy = sum(math.comb(m, 2) ** 2 * (m + 2) for m in range(3, n))
+        greedy = construct_rs2_steps(n, ctx) - criterion_steps(n, ctx)
         # One batch inversion for each point but the first and the last.
         assert greedy_calls.count("inv") == n - 2
         assert greedy_calls.count("mul") + greedy_calls.count("inv") == len(greedy_calls) <= greedy
+        # The bound stays close to the greedy it counts.
+        assert greedy < 2 * len(greedy_calls)
+        # The greedy's vector meets the criterion: the re-check scans every
+        # counted triple pair, building and applying one map for each.
         maps = [name for name in check_calls if name.startswith("affine_")]
-        assert len(maps) == 2 * sum(1 for _ in rs._triples_with_gap(n))
-        assert len(greedy_calls) + len(maps) <= construct_rs2_steps(n, ctx) == greedy + 2 * math.comb(n, 3) ** 2
+        assert len(maps) == 2 * sum(1 for _ in rs._triples_with_gap(n)) == 2 * criterion_steps(n, ctx)
         gf1024 = field_from_size(1024)
         assert construct_rs2_steps(n, gf1024) == construct_rs2_steps(n, ctx) * 2 * 10 * 11
+        assert criterion_steps(n, gf1024) == criterion_steps(n, ctx) * 2 * 10 * 11
 
     @pytest.mark.parametrize("q", [243, 1024])
     def test_extension_steps_bound_the_field_work(self, monkeypatch, q):
@@ -280,11 +288,10 @@ class TestGreedyConstruction:
         greedy_calls, _ = self._counted_run(monkeypatch, 5, ctx)
         # The multiplies inside each inversion's power are counted too.
         assert greedy_calls.count("inv") == 3
-        greedy = sum(math.comb(m, 2) ** 2 * (m + 2) for m in range(3, 5))
-        assert len(greedy_calls) <= greedy * 2 * ctx.m * q.bit_length()
+        assert len(greedy_calls) <= construct_rs2_steps(5, ctx) - criterion_steps(5, ctx)
 
     def test_step_cap_before_the_greedy(self, monkeypatch):
-        cases = ((13, None), (16, None), (22, None), (12, field_from_size(2**20)), (6, field_from_size(4096)))
+        cases = ((14, None), (16, None), (22, None), (12, field_from_size(2**20)), (6, field_from_size(4096)))
 
         def no_arithmetic(*args):
             raise AssertionError("field arithmetic before the refusal")
@@ -292,19 +299,111 @@ class TestGreedyConstruction:
         for name in ("add", "sub", "neg", "mul", "inv", "div", "pow"):
             monkeypatch.setattr(FieldCtx, name, no_arithmetic)
         for n, ctx in cases:
-            with pytest.raises(ScaleCapExceeded, match="weighted affine-map steps"):
+            with pytest.raises(ScaleCapExceeded, match="weighted steps, past the cap"):
                 construct_rs2(n, ctx)
 
     def test_step_cap_boundary(self, monkeypatch):
-        assert construct_rs2_steps(12, field_make(36307)) <= CONSTRUCT_STEP_CAP < construct_rs2_steps(
-            13, field_make(56629)
+        assert construct_rs2_steps(13, field_make(56629)) <= CONSTRUCT_STEP_CAP < construct_rs2_steps(
+            14, field_make(85193)
         )
         gf243 = field_from_size(243)
         monkeypatch.setattr(rs, "CONSTRUCT_STEP_CAP", construct_rs2_steps(5, gf243))
         assert construct_rs2(5, gf243).alphas == (0, 1, 2, 3, 11)
         monkeypatch.setattr(rs, "CONSTRUCT_STEP_CAP", construct_rs2_steps(5, gf243) - 1)
-        with pytest.raises(ScaleCapExceeded, match="n=5 over GF\\(243\\) takes 36880 "):
+        with pytest.raises(ScaleCapExceeded, match="n=5 over GF\\(243\\) takes 18480 "):
             construct_rs2(5, gf243)
+
+    def test_cap_admits_every_input_it_admitted_before(self):
+        """The step bound before the ratio greedy's own count: C(m,2)^2 (m+2)
+        map steps per admission and two per criterion triple pair, capped
+        at 3 * 10^5. Every (n, field) it admitted is still admitted."""
+
+        def before(n):
+            greedy = sum(math.comb(m, 2) ** 2 * (m + 2) for m in range(3, n))
+            return greedy + 2 * math.comb(n, 3) ** 2
+
+        admitted = 0
+        for ctx in _field_per_weight():
+            for n in range(4, 30):
+                if ctx.q <= rs2_field_threshold(n):
+                    break
+                if before(n) * rs._weight(ctx) <= 3 * 10**5:
+                    admitted += 1
+                    assert construct_rs2_steps(n, ctx) <= CONSTRUCT_STEP_CAP, (n, ctx)
+        assert admitted > 30
+
+    def test_recheck_within_the_criterion_cap(self):
+        for ctx in _field_per_weight():
+            for n in range(4, 30):
+                if construct_rs2_steps(n, ctx) <= CONSTRUCT_STEP_CAP:
+                    assert criterion_steps(n, ctx) <= CRITERION_STEP_CAP, (n, ctx)
+
+
+def _field_per_weight():
+    """The largest field up to SIZE_CAP of each step weight."""
+    sizes = [next(q for q in range(SIZE_CAP, 1, -1) if is_prime(q))]
+    sizes += [p**e for p in range(2, 1025) if is_prime(p) for e in range(2, 21) if p**e <= SIZE_CAP]
+    by_weight = {}
+    for q in sorted(sizes):  # a larger field of the same weight replaces a smaller one
+        ctx = field_from_size(q)
+        by_weight[rs._weight(ctx)] = ctx
+    return list(by_weight.values())
+
+
+def _holding(ctx, n, seed=0):
+    """A random length-n vector over ctx that meets the criterion: each
+    point drawn outside the set the earlier ones forbid (see
+    ``rs._RatioTables``), starting over at a dead end."""
+    rng = random.Random(seed)
+    tables = rs._RatioTables(ctx)
+    while len(tables.alphas) < n:
+        free = [x for x in range(ctx.q) if x not in tables.forbidden]
+        if free:
+            tables.admit(rng.choice(free))
+        else:
+            tables = rs._RatioTables(ctx)
+    return RsCode(ctx, tuple(tables.alphas), 2)
+
+
+class TestCriterionCap:
+    @pytest.mark.parametrize("q,n", [(7, 3), (11, 4), (31, 5), (64, 5), (101, 6), (243, 5)])
+    def test_steps_count_the_maps_of_a_holding_vector(self, monkeypatch, q, n):
+        code = _holding(field_from_size(q), n)
+        calls = []
+        through = rs.affine_through
+        monkeypatch.setattr(rs, "affine_through", lambda *args: calls.append(1) or through(*args))
+        assert check_rs2_criterion(code) == (True, None)
+        assert len(calls) * rs._weight(code.ctx) == criterion_steps(n, code.ctx)
+
+    def test_cap_boundary(self, monkeypatch):
+        prime = field_make(1048573)
+        assert criterion_steps(14, prime) <= CRITERION_STEP_CAP < criterion_steps(15, prime)
+        for q, n in ((3**12, 6), (2**20, 5)):
+            ctx = field_from_size(q)
+            assert criterion_steps(n, ctx) <= CRITERION_STEP_CAP < criterion_steps(n + 1, ctx)
+        code = _holding(field_from_size(64), 5)
+        monkeypatch.setattr(rs, "CRITERION_STEP_CAP", criterion_steps(5, code.ctx))
+        assert check_rs2_criterion(code) == (True, None)
+        monkeypatch.setattr(rs, "CRITERION_STEP_CAP", criterion_steps(5, code.ctx) - 1)
+        with pytest.raises(ScaleCapExceeded, match=f"n=5 over GF\\(64\\) takes {60 * 84} weighted affine-map steps"):
+            check_rs2_criterion(code)
+
+    def test_refuses_before_the_scan(self, monkeypatch):
+        def no_arithmetic(*args):
+            raise AssertionError("field arithmetic before the refusal")
+
+        codes = [RsCode(field_make(1048573), tuple(range(15)), 2), RsCode(field_from_size(2**20), tuple(range(6)), 2)]
+        for name in ("add", "sub", "neg", "mul", "inv", "div", "pow"):
+            monkeypatch.setattr(FieldCtx, name, no_arithmetic)
+        for code in codes:
+            with pytest.raises(ScaleCapExceeded, match="past the cap 150000"):
+                check_rs2_criterion(code)
+
+    def test_domain_errors_come_first(self):
+        with pytest.raises(DomainError, match="criterion applies to k=2"):
+            check_rs2_criterion(RsCode(field_make(1048573), tuple(range(40)), 3))
+        with pytest.raises(DomainError, match="criterion needs n >= 3"):
+            check_rs2_criterion(RsCode(field_from_size(2**20), (0, 1), 2))
 
 
 def _map_by_map_forbidden(ctx, alphas):
@@ -420,3 +519,51 @@ class TestLowDistanceWitness:
         code = RsCode(field_make(11), tuple(range(5)), 3)
         with pytest.raises(DomainError):
             low_distance_witness(code)
+
+    @pytest.mark.parametrize(
+        "q,k,extra",
+        [(7, 3, 0), (11, 4, 0), (53, 5, 3), (101, 6, 0), (1048573, 9, 5), (64, 4, 2), (243, 3, 0), (1024, 5, 0)],
+    )
+    def test_steps_bound_the_field_work(self, monkeypatch, q, k, extra):
+        ctx = field_from_size(q)
+        n = k * (k + 1) // 2 + k - 3 + extra
+        code = RsCode(ctx, tuple(random.Random(q).sample(range(q), n)), k)
+        calls = []
+        for name in ("mul", "inv"):
+            fn = getattr(FieldCtx, name)
+            monkeypatch.setattr(FieldCtx, name, lambda self, *args, fn=fn: calls.append(1) or fn(self, *args))
+        low_distance_witness(code)
+        # The multiplies inside an extension field's inversions are counted
+        # too; the weight covers them.
+        field_steps = witness_steps(n, k, ctx) - n * (n // 2048 + 1)
+        assert len(calls) <= field_steps
+        if ctx.m == 1:
+            assert field_steps < 3 * len(calls)
+
+    def test_cap_boundary(self, monkeypatch):
+        prime, gf1024 = field_make(1048573), field_from_size(1024)
+        assert witness_steps(402, 27, prime) <= WITNESS_STEP_CAP < witness_steps(431, 28, prime)
+        assert witness_steps(32, 7, gf1024) <= WITNESS_STEP_CAP < witness_steps(41, 8, gf1024)
+        # Long codes: the codewords and their LCS.
+        assert witness_steps(50000, 3, prime) <= WITNESS_STEP_CAP < witness_steps(60000, 3, prime)
+        code = RsCode(field_from_size(64), tuple(range(11)), 4)
+        steps = witness_steps(11, 4, code.ctx)
+        monkeypatch.setattr(rs, "WITNESS_STEP_CAP", steps)
+        assert low_distance_witness(code)["lcs_lower_bound"] >= 6
+        monkeypatch.setattr(rs, "WITNESS_STEP_CAP", steps - 1)
+        with pytest.raises(ScaleCapExceeded, match=f"k=4, n=11 over GF\\(64\\) takes {steps} weighted field steps"):
+            low_distance_witness(code)
+
+    def test_refuses_before_any_work(self, monkeypatch):
+        def no_arithmetic(*args):
+            raise AssertionError("field arithmetic before the refusal")
+
+        prime = field_make(1048573)
+        codes = [RsCode(prime, tuple(range(431)), 28), RsCode(prime, tuple(range(60000)), 3)]
+        codes.append(RsCode(field_from_size(1024), tuple(range(41)), 8))
+        for name in ("add", "sub", "neg", "mul", "inv", "div", "pow"):
+            monkeypatch.setattr(FieldCtx, name, no_arithmetic)
+        monkeypatch.setattr(rs, "lcs_length_raw", no_arithmetic)
+        for code in codes:
+            with pytest.raises(ScaleCapExceeded, match="past the cap 2000000"):
+                low_distance_witness(code)

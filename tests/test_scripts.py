@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SCRIPTS = ("bounds_table.py", "reproduce_constructions.py", "witness_sweep.py")
+SCRIPTS = ("bounds_table.py", "cli_parity.py", "reproduce_constructions.py", "witness_sweep.py")
 
 
 @pytest.mark.parametrize("script", SCRIPTS)

@@ -118,12 +118,13 @@ import contextlib, io, sys
 from insdel.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-watched = {"json", "fractions", "decimal"}
+watched = {"argparse", "decimal", "fractions", "gettext", "json"}
 print(code, *sorted(m for m in sys.modules if m.startswith("insdel.") or m in watched))
 """
 
 # The package loads insdel.lift itself (see insdel/__init__.py), and
-# insdel.lift loads errors, value and words. A subcommand loads the home
+# insdel.lift loads errors, value and words. A canonical argv loads no
+# argparse (nor the gettext it imports). A subcommand loads the home
 # module of every callee its code names, also one this argv does not
 # reach (codefile for construct-l1 and counterexample without --out).
 BASE = ("insdel.cli", "insdel.errors", "insdel.lift", "insdel.value", "insdel.words")
