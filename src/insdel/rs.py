@@ -114,22 +114,46 @@ def affine_fixed_points(s: AffineMap):
 
 
 def _weight(ctx: FieldCtx) -> int:
-    """Prime-field steps that one step over ``ctx`` weighs. Over GF(p^e),
-    e > 1, a multiply is a product of degree-e polynomials and an
-    inversion a power of one, so a step weighs 2e*bitlength(q). That is
-    an upper bound: measured from GF(729) to GF(2^20), an affine-map step
-    costs 1.4 to 2.3 times less than its weight, and over GF(1024) a
-    multiply about 7 times less."""
+    """Prime-field steps that one step of the criterion or of the greedy
+    over ``ctx`` weighs. Over GF(p^e), e > 1, a multiply is a product of
+    degree-e polynomials and an inversion a power of one, so a step
+    weighs 2e*bitlength(q). That is an upper bound: measured from GF(243)
+    to GF(2^20) and GF(1021^2), a criterion step costs 2.1 to 4.7 times
+    less than its weight. ``witness_steps``, mostly multiplies, weighs
+    multiplies and inversions apart."""
     return 1 if ctx.m == 1 else 2 * ctx.m * ctx.q.bit_length()
+
+
+def _mul_weight(ctx: FieldCtx) -> int:
+    """Prime-field steps that one multiply over ``ctx`` weighs in
+    ``witness_steps``. Over GF(p^e), e > 1, a multiply decodes, multiplies
+    and reduces degree-e polynomials, e(e+16)/4 steps; for odd p the add
+    or subtract that comes with each multiply of the witness decodes and
+    encodes too, e + 8 steps more. Measured from GF(4) to GF(2^20) and
+    GF(1021^2), a multiply and its add took 6 to 91 times 0.6 us, the
+    time a step may take if WITNESS_STEP_CAP's steps take 1.2 s, and
+    the weight is 1.3 to 2.5 times that."""
+    e = ctx.m
+    if e == 1:
+        return 1
+    return e * (e + 16) // 4 + (e + 8 if ctx.p > 2 else 0)
+
+
+def _inv_weight(ctx: FieldCtx) -> int:
+    """Prime-field steps that one inversion over ``ctx`` weighs in
+    ``witness_steps``: over GF(p^e), e > 1, the power a^(q-2), at most
+    2 bitlength(q) multiplies."""
+    return 1 if ctx.m == 1 else 2 * ctx.q.bit_length() * _mul_weight(ctx)
 
 
 def criterion_steps(n: int, ctx: FieldCtx) -> int:
     """Upper bound on the work of ``check_rs2_criterion`` on n points, in
-    weighted affine-map steps: one map built and applied for each ordered
-    pair of index triples that differ in at least two slots. Of the
-    C(n,3)^2 ordered pairs, C(n,3) differ in no slot and 6 C(n,4) in one
-    (a 4-set gives two such ordered pairs for each slot), so a vector
-    that meets the criterion takes exactly this many steps."""
+    weighted steps: for each ordered pair of index triples that differ in
+    at least two slots, one affine map built (one inversion) and one
+    image tested (one multiply and one add). Of the C(n,3)^2 ordered
+    pairs, C(n,3) differ in no slot and 6 C(n,4) in one (a 4-set gives
+    two such ordered pairs for each slot), so a vector that meets the
+    criterion takes exactly this many steps."""
     triples = math.comb(n, 3)
     return (triples * triples - triples - 6 * math.comb(n, 4)) * _weight(ctx)
 
@@ -163,12 +187,16 @@ def check_rs2_criterion(code: RsCode):
         raise ScaleCapExceeded(
             f"n={code.n} over {ctx} takes {steps} weighted affine-map steps, past the cap {CRITERION_STEP_CAP}"
         )
+    add, mul = ctx.add, ctx.mul
     alphas = code.alphas
     for i, j in _triples_with_gap(code.n):
         src = (alphas[i[0]], alphas[i[1]])
         dst = (alphas[j[0]], alphas[j[1]])
         sigma = affine_through(ctx, src, dst)
-        if affine_apply(sigma, alphas[i[2]]) == alphas[j[2]]:
+        # sigma is the substitution x -> ax + b with a*dst + b = src, so it
+        # moves alpha_i2 to alpha_j2 exactly when a*alpha_j2 + b = alpha_i2,
+        # a test that needs no inversion of a.
+        if add(mul(sigma.a, alphas[j[2]]), sigma.b) == alphas[i[2]]:
             return False, (i, j, sigma)
     return True, None
 
@@ -191,7 +219,7 @@ def construct_rs2_steps(n: int, ctx: FieldCtx) -> int:
     points, 3(m + mP) and one inversion for the batch, f <= P + m(m-1)
     for the fresh ratios, Pf for their images on the old pairs and mR for
     all R ratios so far on the m new pairs. The first point costs
-    nothing. A multiply costs much less than an affine-map step, and the
+    nothing. A multiply costs much less than a criterion step, and the
     re-check is most of a run.
     """
     greedy = ratios = 0
@@ -483,15 +511,14 @@ def _last_column_cofactors(ctx, alphas, ii, jj, rows):
     return cofactors
 
 
-def _det_steps(r: int) -> int:
+def _det_steps(r: int) -> tuple[int, int]:
     """Multiplies and inversions of ``det`` on an r x r matrix, at most."""
-    return 2 * r + r * (r - 1) * (2 * r + 5) // 6
+    return r + r * (r - 1) * (2 * r + 5) // 6, r
 
 
-def witness_steps(n: int, k: int, ctx: FieldCtx) -> int:
-    """Upper bound on the work of ``low_distance_witness`` for an [n, k]
-    code: its field multiplies and inversions, weighted by ``_weight``,
-    plus the LCS of its two codewords.
+def _witness_ops(n: int, k: int) -> tuple[int, int]:
+    """Field multiplies and inversions of ``low_distance_witness`` for an
+    [n, k] code, at most.
 
     A power alpha^s, s < k, takes at most 2 bitlength(k) multiplies. Each
     step d = 3..k-1 of ``invertible_difference_indices`` takes the powers
@@ -499,19 +526,31 @@ def witness_steps(n: int, k: int, ctx: FieldCtx) -> int:
     multiplies for each of at most (d+1)(d+2)/2 - 1 candidates and the
     constant term; then the difference matrix of order k-1 and its
     determinant. The certificate takes the powers of the evaluation
-    matrix, the row reduction of its (2k-2) x (2k-1) transpose, 2k-2
-    evaluations of f and of g and the 2n of the two codewords. The
-    bit-parallel LCS of two length-n words steps n times over n-bit ints,
-    which costs about a multiply per 2048 bits.
+    matrix, the row reduction of its (2k-2) x (2k-1) transpose (one
+    inversion and (2k-2)(2k-1) multiplies a pivot), 2k-2 evaluations of
+    f and of g and the 2n of the two codewords.
     """
     power = 2 * k.bit_length()
-    ops = 0
+    muls = invs = 0
     for d in range(3, k):
         candidates = (d + 1) * (d + 2) // 2 - 1
-        ops += 2 * d * (d - 1) * power + d * _det_steps(d - 1) + candidates * d * (power + 1)
-    ops += 4 * (k - 1) ** 2 * power + _det_steps(k - 1)
-    ops += (2 * k - 2) * (1 + (2 * k - 2) * (2 * k - 1)) + 2 * (2 * k - 2) * k + 2 * n * k
-    return ops * _weight(ctx) + n * (n // 2048 + 1)
+        det_muls, det_invs = _det_steps(d - 1)
+        muls += 2 * d * (d - 1) * power + d * det_muls + candidates * d * (power + 1)
+        invs += d * det_invs
+    det_muls, det_invs = _det_steps(k - 1)
+    muls += 4 * (k - 1) ** 2 * power + det_muls + (2 * k - 2) ** 2 * (2 * k - 1) + 2 * (2 * k - 2) * k + 2 * n * k
+    invs += det_invs + 2 * k - 2
+    return muls, invs
+
+
+def witness_steps(n: int, k: int, ctx: FieldCtx) -> int:
+    """Upper bound on the work of ``low_distance_witness`` for an [n, k]
+    code: its field multiplies and inversions (``_witness_ops``), weighted
+    by ``_mul_weight`` and ``_inv_weight``, plus the LCS of its two
+    codewords. The bit-parallel LCS of two length-n words steps n times
+    over n-bit ints, which costs about a multiply per 2048 bits."""
+    muls, invs = _witness_ops(n, k)
+    return muls * _mul_weight(ctx) + invs * _inv_weight(ctx) + n * (n // 2048 + 1)
 
 
 def low_distance_witness(code: RsCode, k: int | None = None) -> dict:

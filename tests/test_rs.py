@@ -275,9 +275,12 @@ class TestGreedyConstruction:
         # The bound stays close to the greedy it counts.
         assert greedy < 2 * len(greedy_calls)
         # The greedy's vector meets the criterion: the re-check scans every
-        # counted triple pair, building and applying one map for each.
-        maps = [name for name in check_calls if name.startswith("affine_")]
-        assert len(maps) == 2 * sum(1 for _ in rs._triples_with_gap(n)) == 2 * criterion_steps(n, ctx)
+        # counted triple pair, building one map and inverting once for each
+        # and applying none.
+        pairs = sum(1 for _ in rs._triples_with_gap(n))
+        assert pairs == criterion_steps(n, ctx)
+        assert check_calls.count("affine_through") == check_calls.count("inv") == pairs
+        assert "affine_apply" not in check_calls and "affine_fixed_points" not in check_calls
         gf1024 = field_from_size(1024)
         assert construct_rs2_steps(n, gf1024) == construct_rs2_steps(n, ctx) * 2 * 10 * 11
         assert criterion_steps(n, gf1024) == criterion_steps(n, ctx) * 2 * 10 * 11
@@ -350,19 +353,76 @@ def _field_per_weight():
     return list(by_weight.values())
 
 
-def _holding(ctx, n, seed=0):
+def _holding(ctx, n, seed=0, restarts=None):
     """A random length-n vector over ctx that meets the criterion: each
     point drawn outside the set the earlier ones forbid (see
-    ``rs._RatioTables``), starting over at a dead end."""
+    ``rs._RatioTables``), starting over at a dead end, at most
+    ``restarts`` times if given (None when every attempt ends)."""
     rng = random.Random(seed)
     tables = rs._RatioTables(ctx)
     while len(tables.alphas) < n:
         free = [x for x in range(ctx.q) if x not in tables.forbidden]
         if free:
             tables.admit(rng.choice(free))
+        elif restarts == 0:
+            return None
         else:
             tables = rs._RatioTables(ctx)
+            restarts = None if restarts is None else restarts - 1
     return RsCode(ctx, tuple(tables.alphas), 2)
+
+
+def _scan_applying_each_map(code):
+    """The criterion scan that applies each triple pair's map to the
+    third point, inverting its scale a second time."""
+    alphas = code.alphas
+    for i, j in rs._triples_with_gap(code.n):
+        sigma = affine_through(code.ctx, (alphas[i[0]], alphas[i[1]]), (alphas[j[0]], alphas[j[1]]))
+        if affine_apply(sigma, alphas[i[2]]) == alphas[j[2]]:
+            return False, (i, j, sigma)
+    return True, None
+
+
+def _translated_triple(ctx, n, rng):
+    """A length-n vector, n >= 6, failing the criterion: three points,
+    their translates by one d in the same order, then fresh points."""
+    while True:
+        first = rng.sample(range(ctx.q), 3)
+        d = rng.randrange(1, ctx.q)
+        points = first + [ctx.add(x, d) for x in first]
+        if len(set(points)) == 6:
+            rest = [x for x in range(ctx.q) if x not in points]
+            return RsCode(ctx, tuple(points + rng.sample(rest, n - 6)), 2)
+
+
+CROSS_CHECK_FIELDS = [p for p in range(7, 102) if is_prime(p)] + [4, 8, 9, 16, 25, 27, 64, 243, 256, 729]
+
+
+@pytest.mark.parametrize("q", CROSS_CHECK_FIELDS)
+def test_criterion_matches_the_scan_applying_each_map(q):
+    ctx = field_from_size(q)
+    rng = random.Random(q)
+    codes = []
+    for n in range(3, min(q, 8) + 1):
+        if criterion_steps(n, ctx) > CRITERION_STEP_CAP:
+            break
+        codes += [RsCode(ctx, tuple(rng.sample(range(q), n)), 2) for _ in range(2)]
+        holding = _holding(ctx, n, seed=q + n, restarts=20)
+        if holding is not None:
+            codes.append(holding)
+        if n >= 6:
+            codes.append(_translated_triple(ctx, n, rng))
+    if ctx.m == 1:
+        # The arithmetic progressions of the benchmark's verify-rs2 jobs.
+        for _ in range(3):
+            start, step = rng.randrange(q), rng.randrange(1, q)
+            codes.append(RsCode(ctx, tuple((start + t * step) % q for t in range(5)), 2))
+    verdicts = []
+    for code in codes:
+        expected = _scan_applying_each_map(code)
+        assert check_rs2_criterion(code) == expected, code.alphas
+        verdicts.append(expected[0])
+    assert True in verdicts and False in verdicts
 
 
 class TestCriterionCap:
@@ -528,22 +588,40 @@ class TestLowDistanceWitness:
         ctx = field_from_size(q)
         n = k * (k + 1) // 2 + k - 3 + extra
         code = RsCode(ctx, tuple(random.Random(q).sample(range(q), n)), k)
-        calls = []
-        for name in ("mul", "inv"):
-            fn = getattr(FieldCtx, name)
-            monkeypatch.setattr(FieldCtx, name, lambda self, *args, fn=fn: calls.append(1) or fn(self, *args))
+        counts = {"mul": 0, "inv": 0, "mul in inv": 0}
+        inside = []
+        mul, inv = FieldCtx.mul, FieldCtx.inv
+
+        def counting_mul(self, a, b):
+            counts["mul in inv" if inside else "mul"] += 1
+            return mul(self, a, b)
+
+        def counting_inv(self, a):
+            counts["inv"] += 1
+            inside.append(a)
+            try:
+                return inv(self, a)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(FieldCtx, "mul", counting_mul)
+        monkeypatch.setattr(FieldCtx, "inv", counting_inv)
         low_distance_witness(code)
-        # The multiplies inside an extension field's inversions are counted
-        # too; the weight covers them.
-        field_steps = witness_steps(n, k, ctx) - n * (n // 2048 + 1)
-        assert len(calls) <= field_steps
+        muls, invs = rs._witness_ops(n, k)
+        assert counts["mul"] <= muls and counts["inv"] <= invs
+        # An inversion over GF(p^e), e > 1, is a power: at most
+        # 2 bitlength(q) multiplies, which its weight covers.
+        assert counts["mul in inv"] <= counts["inv"] * 2 * q.bit_length() * (ctx.m > 1)
+        assert rs._inv_weight(ctx) >= 2 * q.bit_length() * rs._mul_weight(ctx) * (ctx.m > 1)
+        lcs = n * (n // 2048 + 1)
+        assert witness_steps(n, k, ctx) == muls * rs._mul_weight(ctx) + invs * rs._inv_weight(ctx) + lcs
         if ctx.m == 1:
-            assert field_steps < 3 * len(calls)
+            assert muls + invs < 3 * (counts["mul"] + counts["inv"])
 
     def test_cap_boundary(self, monkeypatch):
         prime, gf1024 = field_make(1048573), field_from_size(1024)
         assert witness_steps(402, 27, prime) <= WITNESS_STEP_CAP < witness_steps(431, 28, prime)
-        assert witness_steps(32, 7, gf1024) <= WITNESS_STEP_CAP < witness_steps(41, 8, gf1024)
+        assert witness_steps(51, 9, gf1024) <= WITNESS_STEP_CAP < witness_steps(62, 10, gf1024)
         # Long codes: the codewords and their LCS.
         assert witness_steps(50000, 3, prime) <= WITNESS_STEP_CAP < witness_steps(60000, 3, prime)
         code = RsCode(field_from_size(64), tuple(range(11)), 4)
@@ -554,13 +632,57 @@ class TestLowDistanceWitness:
         with pytest.raises(ScaleCapExceeded, match=f"k=4, n=11 over GF\\(64\\) takes {steps} weighted field steps"):
             low_distance_witness(code)
 
+    def test_k8_over_gf1024_is_admitted(self):
+        code = RsCode(field_from_size(1024), tuple(range(41)), 8)
+        assert low_distance_witness(code)["lcs_lower_bound"] >= 14
+
+    def test_cap_admits_every_input_it_admitted_before(self):
+        """The count before multiplies and inversions were weighed apart:
+        both at ``rs._weight``. Every (n, k, field) it admitted is still
+        admitted."""
+
+        def det_ops(r):
+            return 2 * r + r * (r - 1) * (2 * r + 5) // 6
+
+        def before(n, k, ctx):
+            power = 2 * k.bit_length()
+            ops = 0
+            for d in range(3, k):
+                candidates = (d + 1) * (d + 2) // 2 - 1
+                ops += 2 * d * (d - 1) * power + d * det_ops(d - 1) + candidates * d * (power + 1)
+            ops += 4 * (k - 1) ** 2 * power + det_ops(k - 1)
+            ops += (2 * k - 2) * (1 + (2 * k - 2) * (2 * k - 1)) + 2 * (2 * k - 2) * k + 2 * n * k
+            return ops * rs._weight(ctx) + n * (n // 2048 + 1)
+
+        prime = field_make(1048573)
+        for n, k in ((62, 10), (402, 27), (60000, 3)):
+            assert witness_steps(n, k, prime) == before(n, k, prime)
+        fields = [prime]
+        sizes = [p**e for p in range(2, 1025) if is_prime(p) for e in range(2, 21) if p**e <= SIZE_CAP]
+        fields += [field_from_size(q) for q in sizes]
+        admitted = 0
+        for ctx in fields:
+            for k in range(3, 40):
+                least = k * (k + 1) // 2 + k - 3
+                if least > ctx.q or before(least, k, ctx) > WITNESS_STEP_CAP:
+                    break
+                # Both counts grow with n, so checking the longest code
+                # admitted before covers every shorter one.
+                lo, hi = least, ctx.q
+                while lo < hi:
+                    mid = (lo + hi + 1) // 2
+                    lo, hi = (mid, hi) if before(mid, k, ctx) <= WITNESS_STEP_CAP else (lo, mid - 1)
+                assert witness_steps(lo, k, ctx) <= WITNESS_STEP_CAP, (lo, k, ctx)
+                admitted += 1
+        assert admitted > 300
+
     def test_refuses_before_any_work(self, monkeypatch):
         def no_arithmetic(*args):
             raise AssertionError("field arithmetic before the refusal")
 
         prime = field_make(1048573)
         codes = [RsCode(prime, tuple(range(431)), 28), RsCode(prime, tuple(range(60000)), 3)]
-        codes.append(RsCode(field_from_size(1024), tuple(range(41)), 8))
+        codes.append(RsCode(field_from_size(1024), tuple(range(62)), 10))
         for name in ("add", "sub", "neg", "mul", "inv", "div", "pow"):
             monkeypatch.setattr(FieldCtx, name, no_arithmetic)
         monkeypatch.setattr(rs, "lcs_length_raw", no_arithmetic)
