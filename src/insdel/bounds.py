@@ -103,10 +103,7 @@ def distance_drop_threshold(q: int, n: int, k: int, delta: int) -> dict:
     helper length h is checked against n-k+1 at runtime instead of being
     assumed.
     """
-    if delta < 2:
-        raise DomainError(f"delta must be >= 2, got {delta}")
-    if not 1 <= k <= n:
-        raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
+    _check_drop(n, k, delta)
     if q < 2:
         raise DomainError(f"need q >= 2, got {q}")
     from fractions import Fraction
@@ -135,6 +132,19 @@ def distance_drop_threshold(q: int, n: int, k: int, delta: int) -> dict:
     }
 
 
+def _check_drop(n: int, k: int, delta: int) -> None:
+    """The parameter range of the distance-drop certificate. Past
+    delta = n - k its distance 2n-2k+2-2*delta falls below 2, which no
+    code of two or more words has (the binary [5, 4] parity-check code is
+    MDS at insdel distance 2)."""
+    if delta < 2:
+        raise DomainError(f"delta must be >= 2, got {delta}")
+    if not 1 <= k <= n:
+        raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if delta > n - k:
+        raise DomainError(f"need delta <= n-k = {n - k}, got delta={delta}")
+
+
 def field_size_threshold(n: int, k: int, delta: int) -> Fraction:
     """Field sizes at or below the threshold certify the distance drop of
     ``distance_drop_threshold`` for any Singleton-optimal code.
@@ -144,10 +154,7 @@ def field_size_threshold(n: int, k: int, delta: int) -> Fraction:
     the real root, which keeps the certificate sound for the integer
     field sizes the threshold is compared against.
     """
-    if delta < 2:
-        raise DomainError(f"delta must be >= 2, got {delta}")
-    if not 1 <= k <= n:
-        raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
+    _check_drop(n, k, delta)
     from fractions import Fraction
 
     if 3 * k > n + 1:

@@ -367,13 +367,6 @@ class Matrix(Value):
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> "Matrix":
-        cols = [
-            tuple(self.entries[r * self.cols + c] for r in range(self.rows))
-            for c in range(self.cols)
-        ]
-        return Matrix.from_rows(self.ctx, cols)
-
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.ctx != other.ctx:
             raise ContextMismatch("matrices from different fields")
@@ -394,42 +387,33 @@ class Matrix(Value):
 
 
 def det(m: Matrix) -> int:
-    """Determinant via Gaussian elimination; exact over the field."""
+    """Determinant: the signed pivot product of ``_rref``, or 0 when a
+    column has no pivot; exact over the field."""
     if m.rows != m.cols:
         raise DomainError("determinant of a non-square matrix")
-    ctx = m.ctx
-    a = m.to_rows()
-    n = m.rows
-    result = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            result = ctx.neg(result)
-        p = a[col][col]
-        result = ctx.mul(result, p)
-        pinv = ctx.inv(p)
-        for r in range(col + 1, n):
-            if a[r][col]:
-                factor = ctx.mul(a[r][col], pinv)
-                for c in range(col, n):
-                    a[r][c] = ctx.sub(a[r][c], ctx.mul(factor, a[col][c]))
-    return result
+    pivots, product = _rref(m.to_rows(), m.ctx)
+    return product if len(pivots) == m.rows else 0
 
 
 def _rref(rows, ctx):
-    """In-place reduced row echelon form; returns pivot column list."""
+    """In-place reduced row echelon form. Returns the pivot columns and
+    the product of the pivots, negated once per row swap. For a square
+    matrix with a pivot in every column that is the determinant: scaling
+    a pivot row to 1 divides the determinant by that pivot, and clearing
+    the rest of its column leaves it unchanged."""
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
+    product = 1
     r = 0
     for col in range(ncols):
         pivot = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            product = ctx.neg(product)
+        product = ctx.mul(product, rows[r][col])
         pinv = ctx.inv(rows[r][col])
         rows[r] = [ctx.mul(pinv, e) for e in rows[r]]
         for i in range(nrows):
@@ -442,7 +426,7 @@ def _rref(rows, ctx):
         r += 1
         if r == nrows:
             break
-    return pivots
+    return pivots, product
 
 
 def nullspace(m: Matrix) -> list[tuple[int, ...]]:
@@ -452,21 +436,18 @@ def nullspace(m: Matrix) -> list[tuple[int, ...]]:
     qualifying row), so the basis is reproducible.
     """
     ctx = m.ctx
-    # xM = 0  <=>  M^T x^T = 0: solve the right nullspace of the transpose.
-    t = m.transpose().to_rows()
-    nvars = m.rows
-    if not t:
-        t = []
-    pivots = _rref(t, ctx)
-    free = [c for c in range(nvars) if c not in pivots]
+    # xM = 0  <=>  M^T x^T = 0: solve the right nullspace of the
+    # transpose, whose row c is column c of M.
+    t = [list(m.entries[c :: m.cols]) for c in range(m.cols)]
+    pivots, _ = _rref(t, ctx)
     basis = []
-    for fc in free:
-        vec = [0] * nvars
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            if r < len(t):
+    for fc in range(m.rows):
+        if fc not in pivots:
+            vec = [0] * m.rows
+            vec[fc] = 1
+            for r, pc in enumerate(pivots):
                 vec[pc] = ctx.neg(t[r][fc])
-        basis.append(tuple(vec))
+            basis.append(tuple(vec))
     return basis
 
 

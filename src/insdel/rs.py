@@ -21,7 +21,7 @@ from .words import closest_pair, lcs_length_raw
 EXHAUSTIVE_CAP = 10**4  # max q^k codewords for the exhaustive sweep
 CONSTRUCT_STEP_CAP = 15 * 10**4  # construct_rs2_steps; n = 13 over a prime field fits, n = 14 does not
 CRITERION_STEP_CAP = CONSTRUCT_STEP_CAP  # criterion_steps; n = 14 over a prime field fits, n = 15 does not
-WITNESS_STEP_CAP = 2 * 10**6  # witness_steps; k = 27 over a prime field at the least n fits, k = 28 does not
+WITNESS_STEP_CAP = 2 * 10**6  # witness_steps; k = 42 over a prime field at the least n fits, k = 43 does not
 
 ALL_FIXED = "all"
 
@@ -425,121 +425,99 @@ def rs_exhaustive_insdel(code: RsCode, cap: int = EXHAUSTIVE_CAP):
     return 2 * low, (words[r], words[g])
 
 
+def _power_table(ctx: FieldCtx, alphas, top: int) -> list[list[int]]:
+    """Rows (1, a, a^2, ..., a^top), one per point a: top - 1 multiplies
+    a row."""
+    mul = ctx.mul
+    table = []
+    for a in alphas:
+        row = [1, a]
+        for _ in range(1, top):
+            row.append(mul(row[-1], a))
+        table.append(row)
+    return table
+
+
 def invertible_difference_indices(code: RsCode, k: int):
     """Two strictly increasing index vectors of length k-1 whose power
-    difference matrix is invertible, built inductively.
+    difference matrix (alpha_i^s - alpha_j^s), s = 1..k-1, is invertible,
+    built inductively.
 
     The base for k=3 is i=(2,3), j=(0,2) in 0-based indexing. Each step
     appends j_new = j_last + 1 and the smallest admissible i_new at which
-    the bordered determinant polynomial does not vanish; the determinant
-    polynomial is expanded once along its last column and then evaluated
-    per candidate.
+    the bordered determinant does not vanish. That determinant is linear
+    in its new last column (x^s - alpha_j_new^s)_s, with the last-column
+    cofactors as coefficients. They span the left nullspace of the old
+    columns, which is one-dimensional because their top rows form the
+    previous, invertible difference matrix. So one ``nullspace`` call
+    gives the coefficients up to a nonzero scale, and each candidate x is
+    tested against a table of powers.
     """
     if k < 3:
         raise DomainError(f"need k >= 3, got {k}")
     need = k * (k + 1) // 2 - 2
     if code.n < need:
         raise DomainError(f"need n >= {need} for k={k}, got n={code.n}")
-    ctx = code.ctx
-    alphas = code.alphas
+    ii, jj = _difference_indices(code.ctx, _power_table(code.ctx, code.alphas[:need], k - 1), k)
+    return tuple(ii), tuple(jj)
+
+
+def _difference_indices(ctx: FieldCtx, powers: list[list[int]], k: int):
+    """``invertible_difference_indices`` on a power table of the points."""
+    add, sub, mul = ctx.add, ctx.sub, ctx.mul
+
+    def difference_rows(size):
+        return [
+            [sub(powers[ic][s], powers[jc][s]) for ic, jc in zip(ii, jj)]
+            for s in range(1, size + 1)
+        ]
+
     ii = [2, 3]
     jj = [0, 2]
     for dim in range(3, k):
         # Extend from dimension `dim` to `dim + 1`.
-        rows = dim  # bordered matrix is dim x dim
+        (cof,) = nullspace(Matrix.from_rows(ctx, difference_rows(dim)))
+
+        def value(c):  # sum of cof_s alpha_c^s, s = 1..dim
+            acc = 0
+            for s in range(1, dim + 1):
+                acc = add(acc, mul(cof[s - 1], powers[c][s]))
+            return acc
+
         j_new = jj[-1] + 1
-        cof = _last_column_cofactors(ctx, alphas, ii, jj, rows)
-        aj = alphas[j_new]
-        const = 0
-        for s in range(1, rows + 1):
-            const = ctx.sub(const, ctx.mul(cof[s - 1], ctx.pow(aj, s)))
+        const = value(j_new)
         limit = (dim + 1) * (dim + 2) // 2 - 2  # 1-based bound on i_new
-        chosen = None
-        for cand in range(ii[-1] + 1, limit):  # 0-based: cand <= limit - 1
-            x = alphas[cand]
-            val = const
-            for s in range(1, rows + 1):
-                val = ctx.add(val, ctx.mul(cof[s - 1], ctx.pow(x, s)))
-            if val != 0:
-                chosen = cand
-                break
+        chosen = next((c for c in range(ii[-1] + 1, limit) if value(c) != const), None)
         if chosen is None:
             raise RuntimeError("no admissible index; counting argument violated")
         ii.append(chosen)
         jj.append(j_new)
-    m = _difference_matrix(ctx, alphas, ii, jj)
-    if det(m) == 0:
+    if det(Matrix.from_rows(ctx, difference_rows(k - 1))) == 0:
         raise RuntimeError("difference matrix unexpectedly singular")
-    return tuple(ii), tuple(jj)
-
-
-def _difference_matrix(ctx, alphas, ii, jj) -> Matrix:
-    size = len(ii)
-    rows = []
-    for s in range(1, size + 1):
-        rows.append(
-            [
-                ctx.sub(ctx.pow(alphas[ic], s), ctx.pow(alphas[jc], s))
-                for ic, jc in zip(ii, jj)
-            ]
-        )
-    return Matrix.from_rows(ctx, rows)
-
-
-def _last_column_cofactors(ctx, alphas, ii, jj, rows):
-    """Signed minors along the last column of the bordered matrix.
-
-    Column c < rows-1 holds alpha_i^s - alpha_j^s for s = 1..rows; the
-    cofactor of row s is (-1)^(s + rows) times the minor omitting row s.
-    """
-    base = []
-    for s in range(1, rows + 1):
-        base.append(
-            [
-                ctx.sub(ctx.pow(alphas[ic], s), ctx.pow(alphas[jc], s))
-                for ic, jc in zip(ii, jj)
-            ]
-        )
-    cofactors = []
-    for s in range(rows):
-        minor_rows = [base[r] for r in range(rows) if r != s]
-        minor = Matrix.from_rows(ctx, minor_rows) if minor_rows else None
-        d = det(minor) if minor is not None else 1
-        if (s + rows + 1) % 2 == 1:  # (-1)^((s+1) + rows)
-            d = ctx.neg(d)
-        cofactors.append(d)
-    return cofactors
-
-
-def _det_steps(r: int) -> tuple[int, int]:
-    """Multiplies and inversions of ``det`` on an r x r matrix, at most."""
-    return r + r * (r - 1) * (2 * r + 5) // 6, r
+    return ii, jj
 
 
 def _witness_ops(n: int, k: int) -> tuple[int, int]:
     """Field multiplies and inversions of ``low_distance_witness`` for an
     [n, k] code, at most.
 
-    A power alpha^s, s < k, takes at most 2 bitlength(k) multiplies. Each
-    step d = 3..k-1 of ``invertible_difference_indices`` takes the powers
-    of a d x (d-1) matrix, d minors of order d-1, and d powers and
-    multiplies for each of at most (d+1)(d+2)/2 - 1 candidates and the
-    constant term; then the difference matrix of order k-1 and its
-    determinant. The certificate takes the powers of the evaluation
-    matrix, the row reduction of its (2k-2) x (2k-1) transpose (one
-    inversion and (2k-2)(2k-1) multiplies a pivot), 2k-2 evaluations of
-    f and of g and the 2n of the two codewords.
+    The power table takes k-2 multiplies for each of the first
+    k(k+1)/2 + k - 3 points. ``_rref`` takes one inversion and at most
+    rc + 1 multiplies for each pivot of an r x c matrix, r <= c here: for
+    the (d-1) x d transpose of step d = 3..k-1 of
+    ``invertible_difference_indices``, for the determinant of order k-1
+    and for the (2k-2) x (2k-1) transpose of the evaluation matrix. Step
+    d also evaluates a d-term sum at each of at most (d+1)(d+2)/2 - 1
+    points, and the certificate evaluates f and g, of at most k terms, at
+    the n points.
     """
-    power = 2 * k.bit_length()
-    muls = invs = 0
+    muls = (k * (k + 1) // 2 + k - 3) * (k - 2) + 2 * n * k
+    invs = 0
     for d in range(3, k):
-        candidates = (d + 1) * (d + 2) // 2 - 1
-        det_muls, det_invs = _det_steps(d - 1)
-        muls += 2 * d * (d - 1) * power + d * det_muls + candidates * d * (power + 1)
-        invs += d * det_invs
-    det_muls, det_invs = _det_steps(k - 1)
-    muls += 4 * (k - 1) ** 2 * power + det_muls + (2 * k - 2) ** 2 * (2 * k - 1) + 2 * (2 * k - 2) * k + 2 * n * k
-    invs += det_invs + 2 * k - 2
+        muls += ((d + 1) * (d + 2) // 2 - 1) * d
+    for r, c in [(d - 1, d) for d in range(3, k)] + [(k - 1, k - 1), (2 * k - 2, 2 * k - 1)]:
+        muls += r * (r * c + 1)
+        invs += r
     return muls, invs
 
 
@@ -558,9 +536,10 @@ def low_distance_witness(code: RsCode, k: int | None = None) -> dict:
     2k-2 common subsequence, certifying insdel distance <= 2n-4k+4.
 
     The index vectors from the inductive construction are extended by the
-    smallest fresh increasing indices, a left-nullspace vector of the tall
-    evaluation matrix supplies the coefficients, and the certificate is
-    re-verified by direct evaluation and an LCS computation. Past
+    smallest fresh increasing indices, and a left-nullspace vector of the
+    tall evaluation matrix, read off the construction's power table,
+    supplies the coefficients. The certificate is re-verified on the two
+    codewords: each equality f(alpha_i) = g(alpha_j) and an LCS. Past
     WITNESS_STEP_CAP steps of ``witness_steps`` it refuses before any of
     that work.
     """
@@ -578,38 +557,32 @@ def low_distance_witness(code: RsCode, k: int | None = None) -> dict:
             f"k={k}, n={code.n} over {ctx} takes {steps} weighted field steps, past the cap {WITNESS_STEP_CAP}"
         )
     alphas = code.alphas
-    ii, jj = invertible_difference_indices(code, k)
-    ii = list(ii) + list(range(ii[-1] + 1, ii[-1] + k))
-    jj = list(jj) + list(range(jj[-1] + 1, jj[-1] + k))
-    if ii[-1] >= code.n or jj[-1] >= code.n:
-        raise RuntimeError("index extension ran past the code length")
+    powers = _power_table(ctx, alphas[:need], k - 1)
+    ii, jj = _difference_indices(ctx, powers, k)
+    ii += range(ii[-1] + 1, ii[-1] + k)
+    jj += range(jj[-1] + 1, jj[-1] + k)
+    if ii[-1] >= need or jj[-1] >= need:
+        raise RuntimeError("index extension ran past the power table")
     # (2k-1) x (2k-2) evaluation matrix: all-ones row, then powers at the
     # i-indices, then powers at the j-indices.
     rows = [[1] * (2 * k - 2)]
-    for s in range(1, k):
-        rows.append([ctx.pow(alphas[c], s) for c in ii])
-    for s in range(1, k):
-        rows.append([ctx.pow(alphas[c], s) for c in jj])
-    a_matrix = Matrix.from_rows(ctx, rows)
-    basis = nullspace(a_matrix)
+    rows += [[powers[c][s] for c in ii] for s in range(1, k)]
+    rows += [[powers[c][s] for c in jj] for s in range(1, k)]
+    basis = nullspace(Matrix.from_rows(ctx, rows))
     if not basis:
         raise RuntimeError("left nullspace unexpectedly trivial")
     vec = next((v for v in basis if v[0] != 0), None)
     if vec is None:
         vec = basis[0]  # leading coordinate zero: the difference-matrix
         # invertibility argument still guarantees f != g below.
-    a0 = vec[0]
-    a_coeffs = (a0,) + tuple(vec[1:k])
-    b_coeffs = vec[k : 2 * k - 1]
-    f = Polynomial(ctx, a_coeffs)
-    g = Polynomial(ctx, (0,) + tuple(ctx.neg(b) for b in b_coeffs))
+    f = Polynomial(ctx, vec[:k])
+    g = Polynomial(ctx, (0,) + tuple(ctx.neg(b) for b in vec[k : 2 * k - 1]))
     if f.coeffs == g.coeffs:
         raise RuntimeError("certificate polynomials collapsed")
-    for ic, jc in zip(ii, jj):
-        if f(alphas[ic]) != g(alphas[jc]):
-            raise RuntimeError("certificate equalities failed")
-    cf = rs_encode(RsCode(ctx, alphas, k), f)
-    cg = rs_encode(RsCode(ctx, alphas, k), g)
+    cf = tuple(map(f, alphas))
+    cg = tuple(map(g, alphas))
+    if any(cf[ic] != cg[jc] for ic, jc in zip(ii, jj)):
+        raise RuntimeError("certificate equalities failed")
     lcs = lcs_length_raw(cf, cg)
     if lcs < 2 * k - 2:
         raise RuntimeError("certificate LCS shorter than promised")

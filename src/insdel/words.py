@@ -223,6 +223,12 @@ class Code(Value):
     def __init__(self, q: int, n: int, members: tuple = (), kind: str = INSDEL):
         if kind not in (INSDEL, CWL1):
             raise DomainError(f"unknown code kind {kind!r}")
+        # Checked apart from the members, which an empty code lacks.
+        least_q = 2 if kind == INSDEL else 1
+        if q < least_q:
+            raise DomainError(f"{kind} code needs q >= {least_q}, got q={q}")
+        if n < 0:
+            raise DomainError(f"{kind} code needs n >= 0, got n={n}")
         members = tuple(members)
         if len(set(members)) != len(members):
             raise DomainError("code members must be distinct")

@@ -23,8 +23,8 @@ from insdel.bounds import (
 )
 from insdel.cli import main
 from insdel.errors import DomainError, ScaleCapExceeded
-from insdel.gf import field_make
-from insdel.rs import RsCode, rs_encode
+from insdel.gf import field_from_size, field_make
+from insdel.rs import EXHAUSTIVE_CAP, RsCode, rs_encode, rs_exhaustive_insdel
 from insdel.gf import Polynomial
 from insdel.words import Code, Word, all_words, code_min_distance
 
@@ -127,6 +127,36 @@ class TestDistanceDropThreshold:
         with pytest.raises(DomainError):
             distance_drop_threshold(3, 10, 2, 1)
 
+    @pytest.mark.parametrize("q, n, k, delta", [(2, 5, 4, 2), (5, 6, 5, 3), (3, 10, 2, 9), (2, 4, 1, 4)])
+    def test_rejects_delta_past_n_minus_k(self, q, n, k, delta):
+        # Each would certify a distance below 2; the binary [5, 4]
+        # parity-check code is MDS at insdel distance 2.
+        with pytest.raises(DomainError, match=f"need delta <= n-k = {n - k}"):
+            distance_drop_threshold(q, n, k, delta)
+        with pytest.raises(DomainError, match=f"need delta <= n-k = {n - k}"):
+            field_size_threshold(n, k, delta)
+        if n - k >= 2:
+            distance_drop_threshold(q, n, k, n - k)
+            field_size_threshold(n, k, n - k)
+
+    def test_holds_on_exhaustive_rs_codes(self):
+        """Wherever the bound applies to an RS [n, k]_q code small enough
+        for the exhaustive sweep, the code's insdel distance is at most
+        d_max."""
+        applying = 0
+        for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23):
+            for k in range(1, 5):
+                if q**k > EXHAUSTIVE_CAP:
+                    break
+                for n in range(k + 2, min(10, q) + 1):
+                    code = RsCode(field_from_size(q), tuple(range(n)), k)
+                    for delta in range(2, n - k + 1):
+                        result = distance_drop_threshold(q, n, k, delta)
+                        if result["bound_applies"]:
+                            applying += 1
+                            assert rs_exhaustive_insdel(code)[0] <= result["d_max"], (q, n, k, delta)
+        assert applying == 37
+
 
 class TestFieldSizeThreshold:
     def test_low_rate_example(self):
@@ -137,8 +167,10 @@ class TestFieldSizeThreshold:
 
     def test_monotone_in_delta(self):
         for n, k in [(20, 3), (30, 4), (16, 2), (5, 1), (20, 1)]:
-            values = [field_size_threshold(n, k, d) for d in range(2, 6)]
+            values = [field_size_threshold(n, k, d) for d in range(2, min(6, n - k + 1))]
             assert all(a >= b for a, b in zip(values, values[1:]))
+        with pytest.raises(DomainError):
+            field_size_threshold(5, 1, 5)
 
     def test_rate_one_floor_is_zero(self):
         # Base 1/2 for k = 1: its real root lies in (0, 1), so the floor is 0.

@@ -188,14 +188,14 @@ CONSTRUCT_RS2 = _argv(
 # Long calls at the work caps over the largest prime field: a vector that
 # meets the criterion at n = 13 (a full scan, under 1 s), the least n the
 # criterion cap refuses, the largest k the witness cap admits at its least
-# n (about 0.5 s) and the least k it refuses.
+# n (about 0.3 s) and the least k it refuses.
 AT_THE_CAPS = st.tuples(
     st.sampled_from(
         [
             ["verify-rs2", "--q", "1048573", "--n", "13", "--alphas", "0,1,2,5,7,18,24,44,59,67,101,218,225"],
             ["verify-rs2", "--q", "1048573", "--n", "15", "--alphas", ",".join(map(str, range(15)))],
-            ["witness-rs", "--q", "1048573", "--k", "27", "--alphas", ",".join(map(str, range(402)))],
-            ["witness-rs", "--q", "1048573", "--k", "28", "--alphas", ",".join(map(str, range(431)))],
+            ["witness-rs", "--q", "1048573", "--k", "42", "--alphas", ",".join(map(str, range(942)))],
+            ["witness-rs", "--q", "1048573", "--k", "43", "--alphas", ",".join(map(str, range(986)))],
         ]
     ),
     st.sampled_from([[], ["--json"]]),

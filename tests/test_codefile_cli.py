@@ -82,6 +82,9 @@ class TestCodeFileFormat:
             "INSDEL 2 2 1\n0 0 0\n",
             "INSDEL 2 2 1\n0 x\n",
             "CWL1 2 3 1\n1 1\n",
+            "INSDEL 1 3 0\n",
+            "INSDEL 2 -1 0\n",
+            "CWL1 0 3 0\n",
         ]:
             with pytest.raises(DomainError):
                 codefile.loads(text)
@@ -151,8 +154,8 @@ class TestCliExitCodes:
                 "n=6 over GF(1048576) takes 243600 weighted affine-map steps, past the cap 150000",
             ),
             (
-                ["witness-rs", "--q", "1048573", "--k", "28", "--alphas", ",".join(map(str, range(431)))],
-                "k=28, n=431 over GF(1048573) takes 2238832 weighted field steps, past the cap 2000000",
+                ["witness-rs", "--q", "1048573", "--k", "43", "--alphas", ",".join(map(str, range(986)))],
+                "k=43, n=986 over GF(1048573) takes 2013238 weighted field steps, past the cap 2000000",
             ),
             (
                 ["construct-rs2", "--n", "14"],
@@ -367,6 +370,18 @@ class TestCliPipelines:
         assert result.returncode == 1
         assert result.stderr.count("\n") == 1
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("header", ["CWL1 0 3 0", "CWL1 -1 3 0", "CWL1 2 -3 0"])
+    @pytest.mark.parametrize("command", ["lift", "code-distance"])
+    def test_impossible_header_without_rows_is_one(self, tmp_path, header, command):
+        path, out = tmp_path / "c.txt", tmp_path / "o.txt"
+        path.write_text(header + "\n", encoding="ascii")
+        extra = ["--out", str(out)] if command == "lift" else []
+        result = run_cli(command, "--in", str(path), *extra)
+        assert result.returncode == 1
+        assert result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
 
     def test_selftest_passes(self):
         names = [name for name, _, _ in acceptance.CRITERIA]

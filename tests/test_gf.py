@@ -138,7 +138,38 @@ class TestPolynomials:
         assert f(x) == expected
 
 
+def _leibniz_det(ctx, rows):
+    """Sum over permutations of the signed products, sign by inversion count."""
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        term = 1
+        for r, c in enumerate(perm):
+            term = ctx.mul(term, rows[r][c])
+        odd = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+        total = ctx.sub(total, term) if odd else ctx.add(total, term)
+    return total
+
+
 class TestLinearAlgebra:
+    @pytest.mark.parametrize("q", [2, 7, 16, 27, 1024])
+    def test_det_matches_leibniz(self, q):
+        ctx = field_from_size(q)
+        rng = random.Random(q)
+        singular = swapped = 0
+        for size in range(1, 6):
+            for trial in range(12):
+                rows = [[rng.randrange(q) for _ in range(size)] for _ in range(size)]
+                if size > 1 and trial % 3 == 1:  # last row a combination of the first two
+                    scale = rng.randrange(q)
+                    rows[-1] = [ctx.add(a, ctx.mul(scale, b)) for a, b in zip(rows[0], rows[min(1, size - 2)])]
+                elif size > 1 and trial % 3 == 2:  # the first pivot comes from a lower row
+                    rows[0][0], rows[-1][0] = 0, rng.randrange(1, q)
+                expected = _leibniz_det(ctx, rows)
+                assert det(Matrix.from_rows(ctx, rows)) == expected, rows
+                singular += expected == 0
+                swapped += rows[0][0] == 0 and any(r[0] for r in rows)
+        assert singular >= 5 and swapped >= 5
+
     def test_det_examples(self):
         ctx = field_make(7)
         m = Matrix.from_rows(ctx, [[1, 2], [3, 4]])

@@ -530,6 +530,59 @@ def test_ratio_set_greedy_matches_the_map_by_map_greedy(n, q):
     assert _outcome(construct_rs2, n, q) == _outcome(_map_by_map_rs2, n, q)
 
 
+def _cofactor_indices(code, k):
+    """The index routine before the nullspace solve: each step expands the
+    bordered determinant along its new last column into signed minors,
+    one ``det`` each, and evaluates the expansion at every candidate."""
+    ctx, alphas = code.ctx, code.alphas
+    ii, jj = [2, 3], [0, 2]
+    for dim in range(3, k):
+        base = [
+            [ctx.sub(ctx.pow(alphas[a], s), ctx.pow(alphas[b], s)) for a, b in zip(ii, jj)]
+            for s in range(1, dim + 1)
+        ]
+        cof = []
+        for s in range(dim):
+            minor = det(Matrix.from_rows(ctx, base[:s] + base[s + 1 :]))
+            cof.append(ctx.neg(minor) if (s + 1 + dim) % 2 else minor)
+        aj = alphas[jj[-1] + 1]
+
+        def bordered(x):
+            acc = 0
+            for s in range(1, dim + 1):
+                acc = ctx.add(acc, ctx.mul(cof[s - 1], ctx.sub(ctx.pow(x, s), ctx.pow(aj, s))))
+            return acc
+
+        limit = (dim + 1) * (dim + 2) // 2 - 2
+        ii.append(next(c for c in range(ii[-1] + 1, limit) if bordered(alphas[c]) != 0))
+        jj.append(jj[-1] + 1)
+    return tuple(ii), tuple(jj)
+
+
+# (field size, codes per k and length); extension fields cost the
+# reference most, so they get fewer codes.
+INDEX_FIELDS = [(5, 40), (7, 40), (11, 60), (13, 40), (17, 40), (31, 12), (37, 10), (41, 10), (101, 3)]
+INDEX_FIELDS += [(65537, 2), (1048573, 2), (4, 40), (8, 40), (9, 40), (16, 20), (27, 3), (32, 2), (49, 2), (64, 1)]
+
+
+def test_indices_match_the_cofactor_expansion():
+    rng = random.Random(2111)
+    compared = 0
+    for q, reps in INDEX_FIELDS:
+        ctx = field_from_size(q)
+        for k in range(3, 9):
+            need = k * (k + 1) // 2 - 2
+            for n in (need, need + 1, need + 3):
+                if n > q:
+                    continue
+                for _ in range(reps):
+                    code = RsCode(ctx, tuple(rng.sample(range(q), n)), k)
+                    expected = _cofactor_indices(code, k)
+                    assert invertible_difference_indices(code, k) == expected, (q, code.alphas)
+                    compared += 1
+    assert compared >= 2000
+
+
 class TestLowDistanceWitness:
     def test_base_indices(self):
         ctx = field_make(11)
@@ -620,8 +673,8 @@ class TestLowDistanceWitness:
 
     def test_cap_boundary(self, monkeypatch):
         prime, gf1024 = field_make(1048573), field_from_size(1024)
-        assert witness_steps(402, 27, prime) <= WITNESS_STEP_CAP < witness_steps(431, 28, prime)
-        assert witness_steps(51, 9, gf1024) <= WITNESS_STEP_CAP < witness_steps(62, 10, gf1024)
+        assert witness_steps(942, 42, prime) <= WITNESS_STEP_CAP < witness_steps(986, 43, prime)
+        assert witness_steps(87, 12, gf1024) <= WITNESS_STEP_CAP < witness_steps(101, 13, gf1024)
         # Long codes: the codewords and their LCS.
         assert witness_steps(50000, 3, prime) <= WITNESS_STEP_CAP < witness_steps(60000, 3, prime)
         code = RsCode(field_from_size(64), tuple(range(11)), 4)
@@ -637,12 +690,33 @@ class TestLowDistanceWitness:
         assert low_distance_witness(code)["lcs_lower_bound"] >= 14
 
     def test_cap_admits_every_input_it_admitted_before(self):
-        """The count before multiplies and inversions were weighed apart:
-        both at ``rs._weight``. Every (n, k, field) it admitted is still
-        admitted."""
+        """Two earlier counts: before multiplies and inversions were
+        weighed apart, both at ``rs._weight``, and the cofactor expansion's
+        (``_cofactor_indices``) with them weighed apart. Every (n, k, field)
+        either admitted is still admitted."""
 
         def det_ops(r):
             return 2 * r + r * (r - 1) * (2 * r + 5) // 6
+
+        def cofactor_ops(n, k):
+            power = 2 * k.bit_length()
+            muls = invs = 0
+            for d in range(3, k):
+                candidates = (d + 1) * (d + 2) // 2 - 1
+                det_muls = det_ops(d - 1) - (d - 1)
+                muls += 2 * d * (d - 1) * power + d * det_muls + candidates * d * (power + 1)
+                invs += d * (d - 1)
+            det_muls = det_ops(k - 1) - (k - 1)
+            muls += 4 * (k - 1) ** 2 * power + det_muls + (2 * k - 2) ** 2 * (2 * k - 1) + 2 * (2 * k - 2) * k + 2 * n * k
+            return muls, invs + (k - 1) + 2 * k - 2
+
+        # Both counts take 2nk multiplies for the codewords and nothing
+        # else that grows with n, and the weights are unchanged, so fewer
+        # multiplies and inversions at one n means fewer steps at every n.
+        for k in range(3, 100):
+            muls, invs = rs._witness_ops(k * k, k)
+            muls_before, invs_before = cofactor_ops(k * k, k)
+            assert muls <= muls_before and invs <= invs_before, k
 
         def before(n, k, ctx):
             power = 2 * k.bit_length()
@@ -656,7 +730,7 @@ class TestLowDistanceWitness:
 
         prime = field_make(1048573)
         for n, k in ((62, 10), (402, 27), (60000, 3)):
-            assert witness_steps(n, k, prime) == before(n, k, prime)
+            assert witness_steps(n, k, prime) <= before(n, k, prime)
         fields = [prime]
         sizes = [p**e for p in range(2, 1025) if is_prime(p) for e in range(2, 21) if p**e <= SIZE_CAP]
         fields += [field_from_size(q) for q in sizes]
@@ -681,8 +755,8 @@ class TestLowDistanceWitness:
             raise AssertionError("field arithmetic before the refusal")
 
         prime = field_make(1048573)
-        codes = [RsCode(prime, tuple(range(431)), 28), RsCode(prime, tuple(range(60000)), 3)]
-        codes.append(RsCode(field_from_size(1024), tuple(range(62)), 10))
+        codes = [RsCode(prime, tuple(range(986)), 43), RsCode(prime, tuple(range(60000)), 3)]
+        codes.append(RsCode(field_from_size(1024), tuple(range(101)), 13))
         for name in ("add", "sub", "neg", "mul", "inv", "div", "pow"):
             monkeypatch.setattr(FieldCtx, name, no_arithmetic)
         monkeypatch.setattr(rs, "lcs_length_raw", no_arithmetic)
