@@ -67,8 +67,8 @@ def metric_matches_edit_graph_oracle():
     rng = random.Random(SEED)
     for _ in range(200):
         q = rng.randint(2, 4)
-        u = Word(q, tuple(rng.randrange(q) for _ in range(rng.randint(0, 10))))
-        v = Word(q, tuple(rng.randrange(q) for _ in range(rng.randint(0, 10))))
+        u = Word(q, tuple([rng.randrange(q) for _ in range(rng.randint(0, 10))]))
+        v = Word(q, tuple([rng.randrange(q) for _ in range(rng.randint(0, 10))]))
         require(insdel_distance(u, v) == edit_graph_distance(u, v))
 
 
@@ -177,7 +177,7 @@ def support_structure_of_optimal_codes():
     members = set()
     for coeffs in itertools.product(range(5), repeat=2):
         f = Polynomial(ctx, coeffs)
-        members.add(Word(5, tuple(f(a) for a in rs.alphas)))
+        members.add(Word(5, tuple([f(a) for a in rs.alphas])))
     code = Code(5, 4, tuple(members))
     ok, counts = verify_support_structure(code, 2)
     require(ok)
@@ -205,12 +205,12 @@ def affine_group_action_suite():
     ctx = field_make(13)
     for _ in range(500):
         s = AffineMap(ctx, rng.randrange(1, 13), rng.randrange(13))
-        f = Polynomial(ctx, tuple(rng.randrange(13) for _ in range(4)))
+        f = Polynomial(ctx, tuple([rng.randrange(13) for _ in range(4)]))
         alpha = rng.randrange(13)
         require(f(alpha) == s.apply_polynomial(f)(affine_apply(s, alpha)))
 
 
-CRITERIA = tuple(
+CRITERIA = tuple([
     (check.__name__.replace("_", "-"), label, check)
     for check, label in (
         (metric_matches_edit_graph_oracle, "insdel distance equals the edit-graph BFS oracle"),
@@ -225,4 +225,4 @@ CRITERIA = tuple(
         (support_structure_of_optimal_codes, "every size-3 support holds exactly q-1 = 4 codewords"),
         (affine_group_action_suite, "affine maps: 2-transitive, compatible, <= 1 fixed point"),
     )
-)
+])

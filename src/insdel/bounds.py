@@ -223,7 +223,7 @@ def exact_iq(q: int, n: int, d: int, max_seconds: float | None = None):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     size, clique = _first_max_clique(adj, deadline)
-    code = Code(q, n, tuple(Word(q, words[v]) for v in sorted(clique)))
+    code = Code(q, n, tuple([Word(q, words[v]) for v in sorted(clique)]))
     return size, code
 
 
@@ -254,7 +254,7 @@ def _relabel(adj: list[int], order: list[int]) -> list[int]:
     first), so the work per row runs in C rather than once per edge.
     """
     width = len(adj)
-    pick = operator.itemgetter(*(width - 1 - v for v in reversed(order)))
+    pick = operator.itemgetter(*[width - 1 - v for v in reversed(order)])
     return [int("".join(pick(format(adj[v], f"0{width}b"))), 2) for v in order]
 
 
@@ -342,7 +342,7 @@ def project_code(code: Code, positions) -> Code:
         if not 0 <= p < code.n:
             raise DomainError(f"position {p} out of range [0, {code.n - 1}]")
     members = sorted(
-        {Word(code.q, tuple(w.symbols[p] for p in positions)) for w in code.members}
+        {Word(code.q, tuple([w.symbols[p] for p in positions])) for w in code.members}
     )
     return Code(code.q, len(positions), tuple(members))
 
@@ -365,7 +365,7 @@ def verify_support_structure(code: Code, k: int):
     target = n - k + 1
     counts: dict[tuple[int, ...], int] = {}
     for w in code.members:
-        support = tuple(i for i, s in enumerate(w.symbols) if s != 0)
+        support = tuple([i for i, s in enumerate(w.symbols) if s != 0])
         if len(support) == target:
             counts[support] = counts.get(support, 0) + 1
     ok = True

@@ -146,7 +146,7 @@ def _emit(report: dict, as_json: bool) -> None:
 
 def _int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(map(int, filter(None, text.split(","))))  # empty items skipped
+        return tuple([int(x) for x in text.split(",") if x])  # empty items skipped
     except ValueError as exc:
         raise DomainError(f"expected a comma-separated integer list, got {text!r}") from exc
 

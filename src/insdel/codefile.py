@@ -48,7 +48,7 @@ def loads(text: str) -> Code:
     members = []
     for row in rows[1:]:
         try:
-            values = tuple(int(x) for x in row.split())
+            values = tuple([int(x) for x in row.split()])
         except ValueError as exc:
             raise DomainError(f"non-integer entry in row {row!r}") from exc
         if len(values) != width:

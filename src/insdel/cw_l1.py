@@ -9,7 +9,6 @@ guarantee.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from .errors import DomainError, ScaleCapExceeded
@@ -87,7 +86,8 @@ class L1ConstructionSpec(Value):
         if irreducible_modulus is not None:
             alphas = alphas or tuple(range(q))
         else:
-            alphas = alphas or tuple(itertools.islice((a for a in range(r) if a != alpha), q))
+            # The first q points of F_r other than alpha; r > q.
+            alphas = alphas or tuple([a for a in range(q + 1) if a != alpha][:q])
         alphas = tuple(alphas)
         if len(alphas) != q:
             raise DomainError(f"need {q} bucketing points, got {len(alphas)}")

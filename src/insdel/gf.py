@@ -89,8 +89,9 @@ class FieldCtx:
         return tuple(v)
 
     def encode(self, coeffs) -> int:
+        """Code of a coefficient list or tuple (length <= m, low-first)."""
         code = 0
-        for c in reversed(tuple(coeffs)):
+        for c in reversed(coeffs):
             code = code * self.p + c % self.p
         return code
 
@@ -106,18 +107,14 @@ class FieldCtx:
             return (a + b) % self.p
         if self.p == 2:  # digit-wise sum mod 2
             return a ^ b
-        return self.encode(
-            (x + y) % self.p for x, y in zip(self.decode(a), self.decode(b))
-        )
+        return self.encode([(x + y) % self.p for x, y in zip(self.decode(a), self.decode(b))])
 
     def sub(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a - b) % self.p
         if self.p == 2:  # -1 = 1 mod 2
             return a ^ b
-        return self.encode(
-            (x - y) % self.p for x, y in zip(self.decode(a), self.decode(b))
-        )
+        return self.encode([(x - y) % self.p for x, y in zip(self.decode(a), self.decode(b))])
 
     def neg(self, a: int) -> int:
         return self.sub(0, a)
@@ -275,14 +272,14 @@ class Polynomial(Value):
         n = max(len(self.coeffs), len(other.coeffs))
         a = self.coeffs + (0,) * (n - len(self.coeffs))
         b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return Polynomial(self.ctx, tuple(self.ctx.add(x, y) for x, y in zip(a, b)))
+        return Polynomial(self.ctx, tuple([self.ctx.add(x, y) for x, y in zip(a, b)]))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._same_ctx(other)
         n = max(len(self.coeffs), len(other.coeffs))
         a = self.coeffs + (0,) * (n - len(self.coeffs))
         b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return Polynomial(self.ctx, tuple(self.ctx.sub(x, y) for x, y in zip(a, b)))
+        return Polynomial(self.ctx, tuple([self.ctx.sub(x, y) for x, y in zip(a, b)]))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._same_ctx(other)
@@ -297,7 +294,7 @@ class Polynomial(Value):
         return Polynomial(ctx, tuple(out))
 
     def scale(self, c: int) -> "Polynomial":
-        return Polynomial(self.ctx, tuple(self.ctx.mul(c, x) for x in self.coeffs))
+        return Polynomial(self.ctx, tuple([self.ctx.mul(c, x) for x in self.coeffs]))
 
     def __divmod__(self, other: "Polynomial"):
         self._same_ctx(other)
@@ -359,7 +356,7 @@ class Matrix(Value):
     def from_rows(cls, ctx: FieldCtx, rows) -> "Matrix":
         rows = [list(r) for r in rows]
         ncols = len(rows[0]) if rows else 0
-        return cls(ctx, len(rows), ncols, tuple(e for r in rows for e in r))
+        return cls(ctx, len(rows), ncols, tuple([e for r in rows for e in r]))
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]

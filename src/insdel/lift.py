@@ -60,7 +60,7 @@ def lift(code: Code, max_pairs: int | None = None) -> tuple[Code, dict]:
         raise ScaleCapExceeded(
             f"{len(code)} lifted words of length {code.n} exceed the cap of {SYMBOL_CAP} symbols"
         )
-    lifted = Code(code.q, code.n, tuple(psi(a) for a in code.members), kind=INSDEL)
+    lifted = Code(code.q, code.n, tuple([psi(a) for a in code.members]), kind=INSDEL)
     npairs = len(lifted) * (len(lifted) - 1) // 2
     report: dict = {"size": len(lifted), "pairs": npairs}
     if len(lifted) >= 2 and verification_refusal(npairs, code.n, cap) is None:

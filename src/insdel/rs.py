@@ -32,7 +32,7 @@ class RsCode(Value):
     __slots__ = ("ctx", "alphas", "k")
 
     def __init__(self, ctx: FieldCtx, alphas: tuple[int, ...], k: int):
-        alphas = tuple(ctx.check(a) for a in alphas)
+        alphas = tuple([ctx.check(a) for a in alphas])
         if len(set(alphas)) != len(alphas):
             raise DomainError("evaluation points must be pairwise distinct")
         if not 1 <= k <= len(alphas):
@@ -52,7 +52,7 @@ def rs_encode(code: RsCode, f: Polynomial) -> tuple[int, ...]:
         raise DomainError("message polynomial from a different field")
     if f.degree >= code.k:
         raise DomainError(f"message degree {f.degree} not below k={code.k}")
-    return tuple(f(a) for a in code.alphas)
+    return tuple([f(a) for a in code.alphas])
 
 
 class AffineMap(Value):
@@ -363,15 +363,15 @@ def _codebook(code: RsCode) -> list[tuple[int, ...]]:
     words = scaled
     if code.k > 1:
         add, mul = ctx.add, ctx.mul
-        # Rows are lists: CPython keeps up to 2000 freed tuples of each
-        # length below 20 for reuse, so q-tuples would stay allocated.
         sums = [[add(a, b) for b in range(q)] for a in range(q)]  # sums[a][b] = a + b
         for _ in range(1, code.k):
-            scaled = [tuple(map(mul, row, alphas)) for row in scaled]
+            scaled = [list(map(mul, row, alphas)) for row in scaled]
             # A row's lookup holds the table row of each of its symbols, so
             # word + row is one C-level map of getitem over it and the word.
-            lookups = [tuple(sums[x] for x in row) for row in scaled]
-            words = [tuple(map(getitem, t, w)) for w in words for t in lookups]
+            lookups = [[sums[x] for x in row] for row in scaled]
+            # Through a list, so each word is allocated at its exact size
+            # (see the README's conventions).
+            words = [tuple(list(map(getitem, t, w))) for w in words for t in lookups]
     return words
 
 
@@ -440,59 +440,39 @@ def _power_table(ctx: FieldCtx, alphas, top: int) -> list[list[int]]:
 
 def invertible_difference_indices(code: RsCode, k: int):
     """Two strictly increasing index vectors of length k-1 whose power
-    difference matrix (alpha_i^s - alpha_j^s), s = 1..k-1, is invertible,
-    built inductively.
+    difference matrix (alpha_i^s - alpha_j^s), s = 1..k-1, is invertible:
+    i = (2, 3, ..., k) and j = (0, 2, 3, ..., k-1), 0-based.
 
-    The base for k=3 is i=(2,3), j=(0,2) in 0-based indexing. Each step
-    appends j_new = j_last + 1 and the smallest admissible i_new at which
-    the bordered determinant does not vanish. That determinant is linear
-    in its new last column (x^s - alpha_j_new^s)_s, with the last-column
-    cofactors as coefficients. They span the left nullspace of the old
-    columns, which is one-dimensional because their top rows form the
-    previous, invertible difference matrix. So one ``nullspace`` call
-    gives the coefficients up to a nonzero scale, and each candidate x is
-    tested against a table of powers.
+    The inductive construction starts from i=(2,3), j=(0,2) for k=3. Each
+    step appends j_new = j_last + 1 and the smallest i_new at which the
+    bordered determinant does not vanish. As a function of the new
+    point x, that determinant is a degree-d polynomial whose leading
+    coefficient is the previous difference matrix's determinant, up to
+    sign, so it is nonzero. It vanishes at the d points alpha_t,
+    t in {0, 2, ..., d}: the columns of the pairs (2, 0), (3, 2), ...,
+    (d, d-1) telescope, so x = alpha_t makes the new column
+    (x^s - alpha_d^s)_s a combination of the old ones. These are all its
+    roots, and the first candidate, alpha_{d+1}, is none of them. So
+    every step takes the first candidate, which gives the closed form.
+    The final determinant is still checked.
     """
     if k < 3:
         raise DomainError(f"need k >= 3, got {k}")
     need = k * (k + 1) // 2 - 2
     if code.n < need:
         raise DomainError(f"need n >= {need} for k={k}, got n={code.n}")
-    ii, jj = _difference_indices(code.ctx, _power_table(code.ctx, code.alphas[:need], k - 1), k)
+    ii, jj = _difference_indices(code.ctx, _power_table(code.ctx, code.alphas[: k + 1], k - 1), k)
     return tuple(ii), tuple(jj)
 
 
 def _difference_indices(ctx: FieldCtx, powers: list[list[int]], k: int):
-    """``invertible_difference_indices`` on a power table of the points."""
-    add, sub, mul = ctx.add, ctx.sub, ctx.mul
-
-    def difference_rows(size):
-        return [
-            [sub(powers[ic][s], powers[jc][s]) for ic, jc in zip(ii, jj)]
-            for s in range(1, size + 1)
-        ]
-
-    ii = [2, 3]
-    jj = [0, 2]
-    for dim in range(3, k):
-        # Extend from dimension `dim` to `dim + 1`.
-        (cof,) = nullspace(Matrix.from_rows(ctx, difference_rows(dim)))
-
-        def value(c):  # sum of cof_s alpha_c^s, s = 1..dim
-            acc = 0
-            for s in range(1, dim + 1):
-                acc = add(acc, mul(cof[s - 1], powers[c][s]))
-            return acc
-
-        j_new = jj[-1] + 1
-        const = value(j_new)
-        limit = (dim + 1) * (dim + 2) // 2 - 2  # 1-based bound on i_new
-        chosen = next((c for c in range(ii[-1] + 1, limit) if value(c) != const), None)
-        if chosen is None:
-            raise RuntimeError("no admissible index; counting argument violated")
-        ii.append(chosen)
-        jj.append(j_new)
-    if det(Matrix.from_rows(ctx, difference_rows(k - 1))) == 0:
+    """``invertible_difference_indices`` on a power table of at least the
+    first k+1 points, with its determinant checked."""
+    sub = ctx.sub
+    ii = list(range(2, k + 1))
+    jj = [0] + list(range(2, k))
+    rows = [[sub(powers[ic][s], powers[jc][s]) for ic, jc in zip(ii, jj)] for s in range(1, k)]
+    if det(Matrix.from_rows(ctx, rows)) == 0:
         raise RuntimeError("difference matrix unexpectedly singular")
     return ii, jj
 
@@ -504,12 +484,13 @@ def _witness_ops(n: int, k: int) -> tuple[int, int]:
     The power table takes k-2 multiplies for each of the first
     k(k+1)/2 + k - 3 points. ``_rref`` takes one inversion and at most
     rc + 1 multiplies for each pivot of an r x c matrix, r <= c here: for
-    the (d-1) x d transpose of step d = 3..k-1 of
-    ``invertible_difference_indices``, for the determinant of order k-1
-    and for the (2k-2) x (2k-1) transpose of the evaluation matrix. Step
-    d also evaluates a d-term sum at each of at most (d+1)(d+2)/2 - 1
-    points, and the certificate evaluates f and g, of at most k terms, at
-    the n points.
+    the determinant of order k-1 and for the (2k-2) x (2k-1) transpose of
+    the evaluation matrix. The certificate evaluates f and g, of at most
+    k terms, at the n points. The count also keeps the index search that
+    the closed form of ``invertible_difference_indices`` replaced: for
+    step d = 3..k-1, a (d-1) x d ``_rref`` and a d-term sum at each of
+    (d+1)(d+2)/2 - 1 points. So it stays an upper bound, and the cap
+    admits exactly the inputs it admitted with that search.
     """
     muls = (k * (k + 1) // 2 + k - 3) * (k - 2) + 2 * n * k
     invs = 0
@@ -576,11 +557,11 @@ def low_distance_witness(code: RsCode, k: int | None = None) -> dict:
         vec = basis[0]  # leading coordinate zero: the difference-matrix
         # invertibility argument still guarantees f != g below.
     f = Polynomial(ctx, vec[:k])
-    g = Polynomial(ctx, (0,) + tuple(ctx.neg(b) for b in vec[k : 2 * k - 1]))
+    g = Polynomial(ctx, tuple([0] + [ctx.neg(b) for b in vec[k : 2 * k - 1]]))
     if f.coeffs == g.coeffs:
         raise RuntimeError("certificate polynomials collapsed")
-    cf = tuple(map(f, alphas))
-    cg = tuple(map(g, alphas))
+    cf = tuple([f(a) for a in alphas])
+    cg = tuple([g(a) for a in alphas])
     if any(cf[ic] != cg[jc] for ic, jc in zip(ii, jj)):
         raise RuntimeError("certificate equalities failed")
     lcs = lcs_length_raw(cf, cg)

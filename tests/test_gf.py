@@ -26,7 +26,7 @@ SMALL_FIELDS = [field_make(2), field_make(5), field_make(2, 3), field_make(3, 2)
 
 def _digitwise(ctx, a, b, sign):
     """a + sign * b from base-p digit vectors, the definition of field addition."""
-    return ctx.encode((x + sign * y) % ctx.p for x, y in zip(ctx.decode(a), ctx.decode(b)))
+    return ctx.encode([(x + sign * y) % ctx.p for x, y in zip(ctx.decode(a), ctx.decode(b))])
 
 
 class TestPrimes:

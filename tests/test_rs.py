@@ -591,6 +591,12 @@ class TestLowDistanceWitness:
         assert ii == (2, 3)
         assert jj == (0, 2)
 
+    def test_indices_have_the_closed_form(self):
+        ctx = field_make(101)
+        for k in range(3, 12):
+            code = RsCode(ctx, tuple(range(k * (k + 1) // 2 - 2)), k)
+            assert invertible_difference_indices(code, k) == (tuple(range(2, k + 1)), (0, *range(2, k)))
+
     def test_difference_matrix_invertible(self):
         ctx = field_make(11)
         code = RsCode(ctx, tuple(range(8)), 4)
