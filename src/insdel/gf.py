@@ -65,6 +65,9 @@ class FieldCtx:
         self.m = m
         self.q = p**m
         self.modulus = modulus  # monic, length m+1, low-first; () when m == 1
+        # x^m = sum of -c_i x^i over the modulus's nonzero lower terms c_i:
+        # the (i, -c_i mod p) pairs that ``mul`` folds a high term down by.
+        self._fold = tuple([(i, -c % p) for i, c in enumerate(modulus[:-1]) if c])
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
@@ -122,8 +125,21 @@ class FieldCtx:
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
             return a * b % self.p
-        prod = _poly_mul_modp(self.decode(a), self.decode(b), self.p)
-        return self.encode(_poly_mod_modp(prod, self.modulus, self.p))
+        p = self.p
+        m = self.m
+        prod = _poly_mul_modp(self.decode(a), self.decode(b), p)
+        # Fold each term of degree k >= m down, highest first, by the
+        # modulus's nonzero lower terms only.
+        for k in range(len(prod) - 1, m - 1, -1):
+            lead = prod[k]
+            if lead:
+                shift = k - m
+                for i, c in self._fold:
+                    prod[shift + i] = (prod[shift + i] + lead * c) % p
+        code = 0
+        for k in range(m - 1, -1, -1):
+            code = code * p + prod[k]
+        return code
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -138,17 +154,29 @@ class FieldCtx:
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        if e == 0:
+            return 1
+        return _square_multiply(a, e, self.mul)
 
     def elements(self):
         return range(self.q)
+
+
+def _square_multiply(x, e: int, mul):
+    """x^e for e >= 1 under the product ``mul``. Squares up to the lowest
+    set bit, starts there, and stops squaring at the top bit:
+    popcount(e) - 1 + bit_length(e) - 1 products."""
+    while not e & 1:
+        x = mul(x, x)
+        e >>= 1
+    result = x
+    e >>= 1
+    while e:
+        x = mul(x, x)
+        if e & 1:
+            result = mul(result, x)
+        e >>= 1
+    return result
 
 
 def _poly_mul_modp(a, b, p):
@@ -550,17 +578,4 @@ class UnitResidue(Value):
             raise DomainError("negative powers not needed; invert explicitly")
         if e == 0:
             return self.rctx.one()
-        # Square up to the lowest set bit, start there, and stop squaring
-        # at the top bit: popcount(e) - 1 + bit_length(e) - 1 multiplies.
-        base = self
-        while not e & 1:
-            base = base * base
-            e >>= 1
-        result = base
-        e >>= 1
-        while e:
-            base = base * base
-            if e & 1:
-                result = result * base
-            e >>= 1
-        return result
+        return _square_multiply(self, e, UnitResidue.__mul__)

@@ -118,9 +118,9 @@ def _weight(ctx: FieldCtx) -> int:
     over ``ctx`` weighs. Over GF(p^e), e > 1, a multiply is a product of
     degree-e polynomials and an inversion a power of one, so a step
     weighs 2e*bitlength(q). That is an upper bound: measured from GF(243)
-    to GF(2^20) and GF(1021^2), a criterion step costs 2.1 to 4.7 times
-    less than its weight. ``witness_steps``, mostly multiplies, weighs
-    multiplies and inversions apart."""
+    to GF(2^20) and GF(1021^2) in two runs, a criterion step costs 3.7
+    to 7.8 times less than its weight. ``witness_steps``, mostly
+    multiplies, weighs multiplies and inversions apart."""
     return 1 if ctx.m == 1 else 2 * ctx.m * ctx.q.bit_length()
 
 
@@ -130,9 +130,9 @@ def _mul_weight(ctx: FieldCtx) -> int:
     and reduces degree-e polynomials, e(e+16)/4 steps; for odd p the add
     or subtract that comes with each multiply of the witness decodes and
     encodes too, e + 8 steps more. Measured from GF(4) to GF(2^20) and
-    GF(1021^2), a multiply and its add took 6 to 91 times 0.6 us, the
-    time a step may take if WITNESS_STEP_CAP's steps take 1.2 s, and
-    the weight is 1.3 to 2.5 times that."""
+    GF(1021^2) in two runs, a multiply and its add took 5 to 47 times
+    0.6 us, the time a step may take if WITNESS_STEP_CAP's steps take
+    1.2 s, and the weight is 1.5 to 4.9 times that."""
     e = ctx.m
     if e == 1:
         return 1
@@ -481,8 +481,10 @@ def _witness_ops(n: int, k: int) -> tuple[int, int]:
     """Field multiplies and inversions of ``low_distance_witness`` for an
     [n, k] code, at most.
 
-    The power table takes k-2 multiplies for each of the first
-    k(k+1)/2 + k - 3 points. ``_rref`` takes one inversion and at most
+    The power table is counted at k-2 multiplies for each of the first
+    k(k+1)/2 + k - 3 points. It is built over the first 2k only, so that
+    term is an over-count, kept so that the cap admits exactly the inputs
+    it admitted before. ``_rref`` takes one inversion and at most
     rc + 1 multiplies for each pivot of an r x c matrix, r <= c here: for
     the determinant of order k-1 and for the (2k-2) x (2k-1) transpose of
     the evaluation matrix. The certificate evaluates f and g, of at most
@@ -538,11 +540,13 @@ def low_distance_witness(code: RsCode, k: int | None = None) -> dict:
             f"k={k}, n={code.n} over {ctx} takes {steps} weighted field steps, past the cap {WITNESS_STEP_CAP}"
         )
     alphas = code.alphas
-    powers = _power_table(ctx, alphas[:need], k - 1)
+    # The extended indices end at ii[-1] = 2k-1 and jj[-1] = 2k-2, so the
+    # table needs the first 2k points only (2k <= need for k >= 3).
+    powers = _power_table(ctx, alphas[: 2 * k], k - 1)
     ii, jj = _difference_indices(ctx, powers, k)
     ii += range(ii[-1] + 1, ii[-1] + k)
     jj += range(jj[-1] + 1, jj[-1] + k)
-    if ii[-1] >= need or jj[-1] >= need:
+    if ii[-1] >= len(powers) or jj[-1] >= len(powers):
         raise RuntimeError("index extension ran past the power table")
     # (2k-1) x (2k-2) evaluation matrix: all-ones row, then powers at the
     # i-indices, then powers at the j-indices.

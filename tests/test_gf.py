@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from insdel.errors import ContextMismatch, DomainError, NonUnitError, ScaleCapExceeded
 from insdel.gf import (
+    FieldCtx,
     Matrix,
     Polynomial,
     ResidueCtx,
@@ -103,6 +104,61 @@ class TestFieldArithmetic:
         assert field_from_size(7).q == 7
         with pytest.raises(DomainError):
             field_from_size(6)
+
+
+def _reference_mul(ctx, a, b):
+    """Field product from first principles: the schoolbook product of the
+    digit vectors, then long division by the full modulus."""
+    prod = [0] * (2 * ctx.m - 1)
+    for i, x in enumerate(ctx.decode(a)):
+        for j, y in enumerate(ctx.decode(b)):
+            prod[i + j] += x * y
+    for top in range(len(prod) - 1, ctx.m - 1, -1):
+        lead = prod[top]
+        for i, c in enumerate(ctx.modulus):
+            prod[top - ctx.m + i] -= lead * c
+    return ctx.encode(prod[: ctx.m])
+
+
+class TestExtensionKernel:
+    @pytest.mark.parametrize("q", [16, 25, 27])
+    def test_mul_all_pairs(self, q):
+        ctx = field_from_size(q)
+        for a, b in itertools.product(ctx.elements(), repeat=2):
+            assert ctx.mul(a, b) == _reference_mul(ctx, a, b), (a, b)
+
+    @pytest.mark.parametrize("p, m", [(2, 10), (2, 20), (3, 6), (5, 4), (7, 3), (1021, 2)])
+    def test_mul_random_pairs(self, p, m):
+        ctx = field_make(p, m)
+        rng = random.Random(p * 100 + m)
+        for _ in range(2000):
+            a, b = rng.randrange(ctx.q), rng.randrange(ctx.q)
+            assert ctx.mul(a, b) == _reference_mul(ctx, a, b), (a, b)
+
+    @pytest.mark.parametrize("q", [7, 16, 25, 27])
+    def test_pow_matches_repeated_multiplication(self, q):
+        ctx = field_from_size(q)
+        for a in (0, 1, 2, q - 1):
+            expected = 1
+            for e in range(3 * q + 1):
+                assert ctx.pow(a, e) == expected, (a, e)
+                expected = _reference_mul(ctx, expected, a)
+            if a:
+                assert ctx.mul(a, ctx.pow(a, q - 2)) == 1
+                assert ctx.pow(a, -5) == ctx.pow(ctx.inv(a), 5)
+
+    @pytest.mark.parametrize("e, multiplies", [(0, 0), (1, 0), (2, 1), (8, 3), (13, 5), (255, 14), (510, 15)])
+    def test_pow_multiply_count(self, monkeypatch, e, multiplies):
+        # Square-and-multiply from the lowest set bit to the top bit:
+        # popcount(e) - 1 products plus bit_length(e) - 1 squarings.
+        # e = 510 = q - 2 is the inversion of GF(512).
+        ctx = field_make(2, 9)
+        expected = ctx.pow(3, e)
+        calls = []
+        mul = FieldCtx.mul
+        monkeypatch.setattr(FieldCtx, "mul", lambda ctx, a, b: calls.append(1) or mul(ctx, a, b))
+        assert ctx.pow(3, e) == expected
+        assert len(calls) == multiplies
 
 
 class TestPolynomials:

@@ -425,6 +425,47 @@ def test_criterion_matches_the_scan_applying_each_map(q):
     assert True in verdicts and False in verdicts
 
 
+def _scan_unordered_pairs(code):
+    """The criterion scan over the triple pairs (i, j) with i before j in
+    ``combinations`` order only."""
+    ctx, alphas = code.ctx, code.alphas
+    triples = list(itertools.combinations(range(code.n), 3))
+    for t, i in enumerate(triples):
+        for j in triples[t + 1 :]:
+            if sum(x != y for x, y in zip(i, j)) >= 2:
+                sigma = affine_through(ctx, (alphas[i[0]], alphas[i[1]]), (alphas[j[0]], alphas[j[1]]))
+                if affine_apply(sigma, alphas[i[2]]) == alphas[j[2]]:
+                    return False, (i, j, sigma)
+    return True, None
+
+
+# The prime powers from 7 to 81: one prime divisor each.
+ORDER_FIELDS = [q for q in range(7, 82) if sum(q % p == 0 for p in range(2, q + 1) if is_prime(p)) == 1]
+
+
+@pytest.mark.parametrize("q", ORDER_FIELDS)
+def test_first_witness_is_an_unordered_pair(q):
+    # The pair (j, i) carries the inverse map of (i, j), so it fails
+    # exactly when (i, j) does: the scan's first witness comes before its
+    # mirror, and scanning half the pairs gives the same verdict, witness
+    # and map.
+    ctx = field_from_size(q)
+    rng = random.Random(1000 + q)
+    verdicts = []
+    for n in range(3, min(q, 8) + 1):
+        if criterion_steps(n, ctx) > CRITERION_STEP_CAP:
+            break
+        for _ in range(16):
+            code = RsCode(ctx, tuple(rng.sample(range(q), n)), 2)
+            verdict = check_rs2_criterion(code)
+            if not verdict[0]:
+                i, j, _ = verdict[1]
+                assert i < j, code.alphas
+            assert _scan_unordered_pairs(code) == verdict, code.alphas
+            verdicts.append(verdict[0])
+    assert True in verdicts and False in verdicts
+
+
 class TestCriterionCap:
     @pytest.mark.parametrize("q,n", [(7, 3), (11, 4), (31, 5), (64, 5), (101, 6), (243, 5)])
     def test_steps_count_the_maps_of_a_holding_vector(self, monkeypatch, q, n):
