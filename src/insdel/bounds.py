@@ -22,9 +22,9 @@ from .words import (
     INSDEL,
     Code,
     Word,
-    all_words,
     code_min_distance,
-    insdel_distance_raw,
+    lcs_length_masked,
+    match_masks,
 )
 
 CLIQUE_VERTEX_CAP = 4096
@@ -211,20 +211,30 @@ def exact_iq(q: int, n: int, d: int, max_seconds: float | None = None):
     if n > CLIQUE_VERTEX_CAP.bit_length() or q**n > CLIQUE_VERTEX_CAP:
         raise ScaleCapExceeded(f"q^n = {q}^{n} vertices exceed the cap {CLIQUE_VERTEX_CAP}")
     deadline = None if max_seconds is None else time.monotonic() + max_seconds
-    nverts = q**n
-    words = [tuple(w.symbols) for w in all_words(q, n)]
-    adj = [0] * nverts
-    for i in range(nverts):
-        if deadline is not None and time.monotonic() > deadline:
-            raise ScaleCapExceeded("adjacency build exceeded the time budget")
-        wi = words[i]
-        for j in range(i + 1, nverts):
-            if insdel_distance_raw(wi, words[j]) >= d:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    size, clique = _first_max_clique(adj, deadline)
+    words = list(itertools.product(range(q), repeat=n))
+    size, clique = _first_max_clique(_insdel_graph(words, n, d, deadline), deadline)
     code = Code(q, n, tuple([Word(q, words[v]) for v in sorted(clique)]))
     return size, code
+
+
+def _insdel_graph(words: list, n: int, d: int, deadline: float | None) -> list[int]:
+    """Adjacency bitsets joining the pairs of length-n ``words`` at insdel
+    distance >= d (even), that is with LCS <= n - d // 2.
+
+    Each word's match masks are built once, not once per pair. The budget
+    is checked once per row.
+    """
+    masks = [match_masks(w) for w in words]
+    most = n - d // 2
+    adj = [0] * len(words)
+    for i, wi in enumerate(words):
+        if deadline is not None and time.monotonic() > deadline:
+            raise ScaleCapExceeded("adjacency build exceeded the time budget")
+        for j in range(i + 1, len(words)):
+            if lcs_length_masked(wi, masks[j], n) <= most:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
 
 
 def _first_max_clique(adj: list[int], deadline: float | None):

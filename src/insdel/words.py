@@ -144,31 +144,43 @@ def lcs_length(u: Word, v: Word) -> int:
 def lcs_length_raw(a, b) -> int:
     """LCS length of two plain sequences (no validation, hot path).
 
-    Bit-parallel form of the two-row dynamic program (Allison & Dix 1986;
-    Hyyro 2004, "Bit-parallel LCS-length computation revisited"). Bit j of
-    the big int ``v`` is 0 exactly where the DP row steps up between
-    columns j and j+1 of the shorter word, so one add/and/or step per
-    symbol of the longer word advances the whole row and the LCS length is
-    the number of 0 bits among the low len(b) bits. Carries only move
-    upwards, so bits above len(b) never disturb the low ones and are
-    masked off once at the end.
+    The shorter one is masked (``match_masks``), so the bit-parallel state
+    of ``lcs_length_masked`` has min(len(a), len(b)) bits.
     """
     if len(a) < len(b):
         a, b = b, a
-    if not b:
-        return 0
+    return lcs_length_masked(a, match_masks(b), len(b))
+
+
+def match_masks(b) -> dict:
+    """Symbol -> bit set of its positions in ``b`` (bit j for b[j])."""
     masks: dict = {}
     bit = 1
     for y in b:
         masks[y] = masks.get(y, 0) | bit
         bit <<= 1
-    v = bit - 1
+    return masks
+
+
+def lcs_length_masked(a, masks: dict, nb: int) -> int:
+    """LCS length of ``a`` and a word b of length ``nb`` given by
+    ``match_masks(b)``, for any lengths of the two.
+
+    Bit-parallel form of the two-row dynamic program (Allison & Dix 1986;
+    Hyyro 2004, "Bit-parallel LCS-length computation revisited"). Bit j of
+    the big int ``v`` is 0 exactly where the DP row steps up between
+    columns j and j+1 of b, so one add/and/or step per symbol of ``a``
+    advances the whole row and the LCS length is the number of 0 bits
+    among the low nb bits. Carries only move upwards, so bits above nb
+    never disturb the low ones and are masked off once at the end.
+    """
+    low = v = (1 << nb) - 1
     for x in a:
         m = masks.get(x)
         if m:
             u = v & m
             v = (v + u) | (v - u)
-    return len(b) - (v & (bit - 1)).bit_count()
+    return nb - (v & low).bit_count()
 
 
 def insdel_distance(u: Word, v: Word) -> int:

@@ -75,6 +75,10 @@ CASES = {
         ["code-distance", "--in", "{work}/lift.txt", "--json"],
     ],
     "dist": [["dist", "--q", q, "--u", u, "--v", v, "--json"] for q, u, v in _WORDS],
+    "exact-iq": [
+        ["exact-iq", "--q", "2", "--n", "6", "--d", "4", "--json"],
+        ["exact-iq", "--q", "3", "--n", "4", "--d", "6", "--json"],
+    ],
 }
 
 # The child disables the cyclic collector: a full collection empties the

@@ -26,7 +26,8 @@ from insdel.errors import DomainError, ScaleCapExceeded
 from insdel.gf import field_from_size, field_make
 from insdel.rs import EXHAUSTIVE_CAP, RsCode, rs_encode, rs_exhaustive_insdel
 from insdel.gf import Polynomial
-from insdel.words import Code, Word, all_words, code_min_distance
+from insdel.oracles import edit_graph_distance
+from insdel.words import Code, Word, all_words, code_min_distance, lcs_length_raw
 
 
 class TestSingleton:
@@ -230,8 +231,9 @@ class TestExactIq:
             exact_iq(q, n, 2)
 
     def test_budget_covers_adjacency_build(self, capsys):
-        # (3, 7, 4) builds its adjacency from about 2.4e6 LCS calls (over
-        # 6 s); the budget is checked once per row of the build.
+        # (3, 7, 4) builds its adjacency from about 2.4e6 LCS runs (over
+        # 3 s with each word's match masks built once); the budget is
+        # checked once per row of the build.
         start = time.monotonic()
         code = main(["exact-iq", "--q", "3", "--n", "7", "--d", "4", "--max-seconds", "0.5"])
         assert time.monotonic() - start < 1.0
@@ -374,6 +376,36 @@ class TestTwoPhaseClique:
         monkeypatch.setattr(bounds, "_max_clique", spy)
         exact_iq(5, 3, 4, max_seconds=600)
         assert len(deadlines) == 2 and deadlines[0] == deadlines[1] is not None
+
+
+def _graph_from(words, joined):
+    """Adjacency bitsets over ``words`` with i and j joined when
+    ``joined(words[i], words[j])``."""
+    adj = [0] * len(words)
+    for i, j in itertools.combinations(range(len(words)), 2):
+        if joined(words[i], words[j]):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj
+
+
+class TestInsdelGraph:
+    def test_matches_edit_graph_oracle(self):
+        # Every (q, n) with q^n <= 32 and every even d, against distances
+        # from the oracle, which shares no code with insdel.words.
+        for q, n in [(q, n) for q in range(2, 33) for n in range(1, 6) if q**n <= 32]:
+            words = list(all_words(q, n))
+            dist = {(u, v): edit_graph_distance(u, v) for u, v in itertools.combinations(words, 2)}
+            symbols = [w.symbols for w in words]
+            for d in range(2, 2 * n + 1, 2):
+                want = _graph_from(words, lambda u, v: dist[u, v] >= d)
+                assert bounds._insdel_graph(symbols, n, d, None) == want, (q, n, d)
+
+    @pytest.mark.parametrize("q, n, d", SWEEP_INSTANCES)
+    def test_matches_pairwise_lcs(self, q, n, d):
+        words = list(itertools.product(range(q), repeat=n))
+        want = _graph_from(words, lambda a, b: 2 * (n - lcs_length_raw(a, b)) >= d)
+        assert bounds._insdel_graph(words, n, d, None) == want
 
 
 def rs_code_as_words(q, n, k):

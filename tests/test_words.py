@@ -2,7 +2,7 @@ import itertools
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from insdel.errors import AlphabetMismatch, DomainError, UndefinedDistance
@@ -26,7 +26,9 @@ from insdel.words import (
     insdel_distance,
     l1_distance,
     lcs_length,
+    lcs_length_masked,
     lcs_length_raw,
+    match_masks,
     phi,
     psi,
 )
@@ -101,6 +103,34 @@ class TestLcsAndDistance:
         u, v = pair
         d = edit_graph_distance(u, v)
         assert lcs_length_raw(u.symbols, v.symbols) == (len(u) + len(v) - d) // 2
+
+    @given(
+        st.integers(2, 300).flatmap(
+            lambda q: st.tuples(
+                *(
+                    st.lists(st.integers(0, q - 1), max_size=40).map(lambda s: Word(q, tuple(s)))
+                    for _ in range(2)
+                )
+            )
+        )
+    )
+    @example((Word(3, ()), Word(3, (2, 0, 2))))
+    @example((Word(300, (299, 5)), Word(300, ())))
+    @example((Word(300, (299, 0, 7, 299)), Word(300, (7, 299, 1, 0, 299, 299, 2))))
+    @settings(max_examples=200, deadline=None)
+    def test_lcs_masked_matches_edit_graph_oracle(self, pair):
+        # Both ways round, so unequal lengths put the longer word on the
+        # masked side as often as on the stepped one, which lcs_length_raw
+        # never does; an empty word takes either side.
+        u, v = pair
+        lcs = (len(u) + len(v) - edit_graph_distance(u, v)) // 2
+        a, b = u.symbols, v.symbols
+        assert lcs_length_masked(a, match_masks(b), len(b)) == lcs
+        assert lcs_length_masked(b, match_masks(a), len(a)) == lcs
+
+    def test_match_masks(self):
+        assert match_masks((2, 0, 2, 299)) == {2: 0b101, 0: 0b10, 299: 0b1000}
+        assert match_masks(()) == {}
 
     def test_lcs_raw_long_words(self):
         u = Word(3, tuple(i % 3 for i in range(150)))
