@@ -553,14 +553,6 @@ class UnitResidue(Value):
         _set(self, "rctx", rctx)
         _set(self, "coeffs", coeffs)  # fixed length = modulus degree, low-first
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.rctx, self.coeffs) == (other.rctx, other.coeffs)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.rctx, self.coeffs))
-
     @property
     def code(self) -> int:
         return self.rctx.encode(self.coeffs)

@@ -402,26 +402,23 @@ def rs_exhaustive_insdel(code: RsCode, cap: int = EXHAUSTIVE_CAP):
     and g to those of a*f + c and a*g + c at the same insdel distance, so
     the minimising pairs form a union of orbits of that group. Every
     message shares an orbit with exactly one representative (see
-    ``_is_orbit_representative``), so pairing each representative with
-    every other message reaches every orbit of pairs:
-    (1 + (q^(k-1) - 1)/(q - 1)) * (q^k - 1) pairs instead of q^k(q^k - 1)/2,
-    about 2q^2 for k = 2.
+    ``_is_orbit_representative``). The messages occurring in minimising
+    pairs form a union of orbits, and the least message of an orbit is its
+    representative: the constant term weighs most in the index order,
+    then the coefficients by increasing degree. So the least message i in
+    any minimising pair is a representative, no earlier representative
+    has a minimising partner, and every partner of i lies above i.
 
-    Pairs are swept representative by representative, partners in index
-    order, each representative as one ``closest_pair`` row against all
-    codewords but its own, and the first minimiser met is the witness; it
-    is the first witness of the full sweep. The messages occurring in
-    minimising pairs form a union of orbits, and the least message of an
-    orbit is its representative: the constant term weighs most in the
-    index order, then the coefficients by increasing degree. So the least
-    such message i is a representative, no earlier representative has a
-    minimising partner, and every partner of i lies above i.
+    The representatives are therefore the ``closest_pair`` rows, each
+    against the messages above it, and its first least pair is the full
+    sweep's witness. That is the sum over representatives r of
+    (q^k - 1 - r) pairs instead of q^k(q^k - 1)/2, 2q^2 - 3 for k = 2.
     """
     check_sweep_cap(code, cap)
     words = _codebook(code)
     messages = itertools.product(range(code.ctx.q), repeat=code.k)
     reps = [r for r, coeffs in enumerate(messages) if _is_orbit_representative(coeffs)]
-    low, r, g = closest_pair(words, code.n, reps, upper=False)
+    low, r, g = closest_pair(words, code.n, reps)
     return 2 * low, (words[r], words[g])
 
 

@@ -10,9 +10,10 @@ equality and hash go over the field tuple within one class; the repr
 reads ``Name(field=value, ...)``; assigning or deleting an attribute
 raises ``AttributeError``.
 
-Hot types (``Word``, ``Composition``, ``UnitResidue``) write ``__eq__``
-and ``__hash__`` on their explicit field tuple instead of inheriting the
-generic loop here, which costs a ``getattr`` per field.
+The hot types ``Word`` and ``Composition`` write ``__eq__``, ``__hash__``
+and ``__lt__`` on their explicit field tuple instead of inheriting the
+generic loop here, which costs a ``getattr`` per field; ``sorted`` uses
+only ``<``, and ``functools.total_ordering`` derives the other orderings.
 """
 
 from __future__ import annotations

@@ -9,7 +9,9 @@ corresponding sorted words.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from operator import ne
 
 from .errors import (
     AlphabetMismatch,
@@ -25,6 +27,7 @@ HAMMING = "HAMMING"
 L1 = "L1"
 
 
+@functools.total_ordering
 class Word(Value):
     """An immutable word over the alphabet {0, ..., q-1}.
 
@@ -57,21 +60,6 @@ class Word(Value):
             return (self.q, self.symbols) < (other.q, other.symbols)
         return NotImplemented
 
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.q, self.symbols) <= (other.q, other.symbols)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.q, self.symbols) > (other.q, other.symbols)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.q, self.symbols) >= (other.q, other.symbols)
-        return NotImplemented
-
     def __len__(self) -> int:
         return len(self.symbols)
 
@@ -80,6 +68,7 @@ class Word(Value):
         return len(self.symbols)
 
 
+@functools.total_ordering
 class Composition(Value):
     """A point of the Johnson space: q nonnegative counts with a fixed sum."""
 
@@ -108,21 +97,6 @@ class Composition(Value):
     def __lt__(self, other):
         if other.__class__ is self.__class__:
             return (self.q, self.counts) < (other.q, other.counts)
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.q, self.counts) <= (other.q, other.counts)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.q, self.counts) > (other.q, other.counts)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.q, self.counts) >= (other.q, other.counts)
         return NotImplemented
 
     @property
@@ -263,9 +237,10 @@ class Code(Value):
 def code_min_distance(code: Code, metric: str):
     """Exact minimum pairwise distance with one witnessing pair.
 
-    Pairs are swept in lexicographic member order so the reported witness
-    is reproducible. INSDEL codes go through ``closest_pair``, the packed
-    LCS kernel, and L1 through ``_closest_l1``, in that same order.
+    Members are sorted, and the witness is the first pair (i < j in
+    member order) reaching the minimum, so it is reproducible. INSDEL
+    codes go through ``closest_pair``, the packed LCS kernel, and L1
+    through ``_closest_l1``; each metric yields (d, i, j).
     """
     if metric not in (INSDEL, HAMMING, L1):
         raise DomainError(f"unknown metric {metric!r}")
@@ -277,23 +252,19 @@ def code_min_distance(code: Code, metric: str):
         raise UndefinedDistance("minimum distance needs at least two members")
     members = sorted(code.members)
     if metric == INSDEL:
-        words = [m.symbols for m in members]
-        low, i, j = closest_pair(words, code.n, range(len(words) - 1), upper=True)
-        return 2 * low, (members[i], members[j])
-    if metric == L1:
-        return _closest_l1(members)
-    best = None
-    witness = None
-    for u, v in itertools.combinations(members, 2):
-        d = hamming_distance(u, v)
-        if best is None or d < best:
-            best, witness = d, (u, v)
-    return best, witness
+        low, i, j = closest_pair([m.symbols for m in members], code.n, range(len(members) - 1))
+        d = 2 * low
+    elif metric == L1:
+        d, i, j = _closest_l1([m.counts for m in members])
+    else:
+        pairs = itertools.combinations(enumerate([m.symbols for m in members]), 2)
+        d, i, j = min((sum(map(ne, a, b)), i, j) for (i, a), (j, b) in pairs)
+    return d, (members[i], members[j])
 
 
-def _closest_l1(members):
-    """Least L1 distance over pairs of sorted equal-weight compositions,
-    with the first pair (i < j in member order) reaching it.
+def _closest_l1(counts):
+    """Least L1 distance over pairs of sorted equal-weight count tuples,
+    as (d, i, j) for the first pair (i < j) reaching it.
 
     Sorting puts the first counts in ascending order. Two compositions of
     one weight move as many units out of bins as into them, so their L1
@@ -301,18 +272,17 @@ def _closest_l1(members):
     best distance so far, no later partner of a can beat it, nor tie it
     first, and the row stops: the result is the full sweep's.
     """
-    counts = [m.counts for m in members]
-    best, witness = None, None
+    best = None
     for i, a in enumerate(counts):
         a0 = a[0]
         for j in range(i + 1, len(counts)):
             b = counts[j]
-            if best is not None and 2 * (b[0] - a0) >= best:
+            if best is not None and 2 * (b[0] - a0) >= best[0]:
                 break
             d = l1_distance_raw(a, b)
-            if best is None or d < best:
-                best, witness = d, (members[i], members[j])
-    return best, witness
+            if best is None or d < best[0]:
+                best = (d, i, j)
+    return best
 
 
 # Popcount of every byte value, for bytes.translate.
@@ -394,40 +364,34 @@ def _blocks(words, n: int):
         yield start, len(words)
 
 
-def closest_pair(words, n: int, rows, upper: bool):
-    """Least n - LCS(words[i], words[j]) over i in ``rows`` and j != i
-    (j > i when ``upper``), as (low, i, j) for the first pair reaching it:
-    rows in the given order, then j ascending. None without pairs.
+def closest_pair(words, n: int, rows):
+    """Least n - LCS(words[i], words[j]) over i in ``rows`` (ascending)
+    and j > i, as (low, i, j) for the first pair reaching it in (i, j)
+    order. None without pairs.
 
     All words have length n, so the insdel distance of a pair is twice
     its n - LCS. Each row is one ``PackedWords.row``, and ``min`` and
     ``index`` find its first minimum. The words are packed in consecutive
     blocks (``_blocks``) and every row sweeps a block before the next is
     packed, so a code with many symbols and long words needs one block's
-    masks at a time, not masks over the whole code per symbol.
+    masks at a time, not masks over the whole code per symbol. One
+    running minimum, compared as a tuple, keeps the first least pair
+    across rows and blocks.
     """
-    best = [None] * len(rows)
+    best = None
     for b0, b1 in _blocks(words, n):
         pack = PackedWords(words[b0:b1], n)
-        for t, i in enumerate(rows):
-            first = max(b0, i + 1) if upper else b0
+        for i in rows:
+            first = max(b0, i + 1)
             if first >= b1:
-                continue
+                break
             row = pack.row(words[i], first - b0)
-            own = not upper and b0 <= i < b1
-            if own:
-                row = row[: i - b0] + row[i - b0 + 1 :]
-                if not row:
-                    continue
             low = min(row)
-            if best[t] is None or low < best[t][0]:
-                j = first + row.index(low)
-                best[t] = (low, j + 1 if own and j >= i else j)
-    result = None
-    for t, i in enumerate(rows):
-        if best[t] is not None and (result is None or best[t][0] < result[0]):
-            result = (best[t][0], i, best[t][1])
-    return result
+            if best is None or low <= best[0]:
+                pair = (low, i, first + row.index(low))
+                if best is None or pair < best:
+                    best = pair
+    return best
 
 
 def all_words(q: int, n: int):
@@ -439,8 +403,9 @@ def all_words(q: int, n: int):
 def compositions_colex(n: int, q: int):
     """All compositions of n into q bins, colexicographic order.
 
-    Colex compares the reversed count tuples; enumeration is iterative and
-    allocation-free per step.
+    Colex compares the reversed count tuples. The enumeration is a
+    recursive generator on the last bin; each of its q - 1 levels builds a
+    new tuple for every composition it passes up.
     """
     for c in _compositions_colex_raw(n, q):
         yield Composition(q, c)

@@ -363,6 +363,24 @@ class TestCliPipelines:
         assert doc["min_distance"] == 6
         assert doc["metric"] == "INSDEL"
 
+    # The counterexample file has 6 words of length 4: 15 pairs, and for
+    # INSDEL 240 LCS cells, which fit 9 cells a pair from a cap of 27 on.
+    @pytest.mark.parametrize(
+        "metric, cap, code",
+        [("HAMMING", "14", 2), ("HAMMING", "15", 0), ("INSDEL", "26", 2), ("INSDEL", "27", 0)],
+    )
+    def test_code_distance_pair_cap(self, tmp_path, metric, cap, code):
+        path = tmp_path / "cx.txt"
+        run_cli("counterexample", "--q", "5", "--n", "4", "--out", str(path))
+        result = run_cli("code-distance", "--in", str(path), "--metric", metric, env={"INSDEL_MAX_PAIRS": cap})
+        assert result.returncode == code
+        if code:
+            assert result.stdout == ""
+            assert result.stderr.count("\n") == 1
+            assert "INSDEL_MAX_PAIRS" in result.stderr
+        else:
+            assert result.stdout.startswith("command=code-distance\n")
+
     def test_code_distance_non_ascii_file_is_one(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_bytes(b"INSDEL 2 2 1\n0 \xff\n")

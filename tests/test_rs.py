@@ -205,21 +205,23 @@ class TestExhaustiveSweep:
 
     @pytest.mark.parametrize("q, k", [(7, 1), (7, 2), (4, 3)])
     def test_sweeps_one_representative_per_orbit(self, q, k, monkeypatch):
-        # One kernel row per representative; its partners are every lane
-        # of the row but the representative's own.
+        # One kernel row per representative r; its partners are the
+        # q^k - 1 - r messages above it.
         rows = []
         row = PackedWords.row
 
         def counting_row(self, word, start=0):
             counts = row(self, word, start)
-            rows.append(len(counts) - 1)
+            rows.append(len(counts))
             return counts
 
         monkeypatch.setattr(PackedWords, "row", counting_row)
         rs_exhaustive_insdel(RsCode(field_from_size(q), tuple(range(k + 1)), k))
-        reps = 1 + (q ** (k - 1) - 1) // (q - 1)
-        assert len(rows) == reps
-        assert sum(rows) == reps * (q**k - 1)
+        messages = itertools.product(range(q), repeat=k)
+        # Zero constant term, lowest nonzero coefficient 1 (or none).
+        reps = [r for r, c in enumerate(messages) if not c[0] and next((x for x in c if x), 1) == 1]
+        assert len(reps) == 1 + (q ** (k - 1) - 1) // (q - 1)
+        assert rows == [q**k - 1 - r for r in reps]
 
 
 class TestGreedyConstruction:

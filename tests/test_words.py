@@ -11,6 +11,7 @@ from insdel.oracles import edit_graph_distance, lcs_by_enumeration, word_graph_d
 from insdel.words import (
     _BLOCK_BYTES,
     CWL1,
+    HAMMING,
     INSDEL,
     L1,
     Code,
@@ -295,15 +296,51 @@ class TestL1Sweep:
         assert (d, witness) == (4, (Composition(3, (0, 2, 2)), Composition(3, (0, 4, 0))))
 
 
-def _pairwise_closest(words, rows, upper):
+def _pairwise_closest(words, rows):
     best = None
     for i in rows:
-        for j in range(i + 1 if upper else 0, len(words)):
-            if j != i:
-                low = len(words[i]) - lcs_length_raw(words[i], words[j])
-                if best is None or low < best[0]:
-                    best = (low, i, j)
+        for j in range(i + 1, len(words)):
+            low = len(words[i]) - lcs_length_raw(words[i], words[j])
+            if best is None or low < best[0]:
+                best = (low, i, j)
     return best
+
+
+def _pairwise_min_hamming(members):
+    """Sorted members, pairs in lexicographic order, the first strict
+    minimum wins."""
+    best = witness = None
+    for u, v in itertools.combinations(sorted(members), 2):
+        d = sum(1 for a, b in zip(u.symbols, v.symbols) if a != b)
+        if best is None or d < best:
+            best, witness = d, (u, v)
+    return best, witness
+
+
+# Small alphabets and short words, so that minima tie often.
+INSDEL_CODES = st.integers(2, 4).flatmap(
+    lambda q: st.integers(0, 10).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(0, q - 1), min_size=n, max_size=n).map(lambda s: Word(q, tuple(s))),
+            min_size=2,
+            max_size=20,
+            unique=True,
+        ).map(lambda members: Code(q, n, tuple(members)))
+    )
+)
+
+
+class TestHammingSweep:
+    @given(INSDEL_CODES)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_pairwise_sweep(self, code):
+        assert code_min_distance(code, HAMMING) == _pairwise_min_hamming(code.members)
+
+    def test_tied_minimum_keeps_first_pair(self):
+        members = tuple(Word(2, s) for s in [(1, 1, 0), (0, 1, 1), (1, 0, 0), (0, 0, 1)])
+        d, witness = code_min_distance(Code(2, 3, members), HAMMING)
+        assert (d, witness) == _pairwise_min_hamming(members)
+        assert (d, witness) == (1, (Word(2, (0, 0, 1)), Word(2, (0, 1, 1))))
 
 
 LANE_LENGTHS = (0, 1, 7, 8, 15, 16, 255, 256, 300)
@@ -347,21 +384,7 @@ class TestPackedKernel:
         assert list(row) == [n, 0, n, 0]
         assert isinstance(row, bytes) == (n < 256)
 
-    @given(
-        st.integers(2, 4).flatmap(
-            lambda q: st.integers(0, 10).flatmap(
-                lambda n: st.lists(
-                    st.lists(st.integers(0, q - 1), min_size=n, max_size=n).map(
-                        lambda s: Word(q, tuple(s))
-                    ),
-                    min_size=2,
-                    max_size=20,
-                    unique=True,
-                ).map(lambda members: Code(q, n, tuple(members)))
-            )
-        ),
-        st.sampled_from([0, 24, 1 << 22]),
-    )
+    @given(INSDEL_CODES, st.sampled_from([0, 24, 1 << 22]))
     @settings(max_examples=150, deadline=None)
     def test_code_min_distance_matches_pairwise_sweep(self, code, budget):
         # Small alphabets tie often; budget 0 packs one word per block.
@@ -380,13 +403,13 @@ class TestPackedKernel:
         st.sampled_from([0, 8, 40, 1 << 22]),
     )
     @settings(max_examples=150, deadline=None)
-    def test_closest_pair_all_partners_matches_pairwise(self, words, data, budget):
-        # The exhaustive RS sweep's form: rows in any order, every partner
-        # but the row's own word, across block boundaries.
-        rows = data.draw(st.lists(st.integers(0, len(words) - 1), min_size=1, unique=True))
+    def test_closest_pair_rows_match_pairwise(self, words, data, budget):
+        # The exhaustive RS sweep's form: any ascending subset of rows,
+        # each against the words above it, across block boundaries.
+        rows = sorted(data.draw(st.lists(st.integers(0, len(words) - 1), min_size=1, unique=True)))
         with mock.patch.object(words_module, "_BLOCK_BYTES", budget):
-            assert closest_pair(words, 6, rows, upper=False) == _pairwise_closest(words, rows, False)
-            assert closest_pair(words, 6, rows, upper=True) == _pairwise_closest(words, rows, True)
+            assert closest_pair(words, 6, rows) == _pairwise_closest(words, rows)
+            assert closest_pair(words, 6, range(len(words))) == _pairwise_closest(words, range(len(words)))
 
     def test_blocks_bound_the_masks(self):
         # The counterexample family: constant words and one word holding
@@ -403,4 +426,4 @@ class TestPackedKernel:
             assert b1 - b0 == 1 or len(symbols) * (b1 - b0) * lane <= _BLOCK_BYTES
         with mock.patch.object(words_module, "_BLOCK_BYTES", 1 << 14):
             assert len(list(_blocks(words, q))) > 1
-            assert closest_pair(words, q, range(len(words) - 1), upper=True) == (q - 1, 0, q)
+            assert closest_pair(words, q, range(len(words) - 1)) == (q - 1, 0, q)
