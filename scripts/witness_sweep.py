@@ -19,8 +19,8 @@ def main() -> None:
     args = parser.parse_args()
     print(f"{'k':>3} {'n':>4} {'q':>6} {'lcs':>4} {'d(cf,cg)':>8} {'ceiling':>8}")
     for k in range(3, args.max_k + 1):
-        n = k * (k + 1) // 2 + k - 3
-        q = next_prime(max(n, 2 * k))
+        n = 2 * k
+        q = next_prime(n)
         code = RsCode(field_make(q), tuple(range(n)), k)
         w = low_distance_witness(code)
         d = insdel_distance_raw(w["codeword_f"], w["codeword_g"])

@@ -18,7 +18,10 @@ from .gf import (
     Polynomial,
     ResidueCtx,
     UnitResidue,
+    _fold_pairs,
     _is_irreducible_modp,
+    _mul_fold,
+    _square_multiply,
     field_make,
     is_prime,
     unit_group_size,
@@ -114,9 +117,7 @@ class L1ConstructionSpec(Value):
             return ResidueCtx.linear_power(fctx, self.alpha, self.delta)
         mod = Polynomial(fctx, self.irreducible_modulus)
         if mod.degree != self.delta - 1 or mod.coeffs[-1] != 1:
-            raise DomainError(
-                f"modulus must be monic of degree {self.delta - 1}"
-            )
+            raise DomainError(f"modulus must be monic of degree {self.delta - 1}")
         if not _is_irreducible_modp(mod.coeffs, self.r):
             raise DomainError("modulus is reducible over F_r")
         return ResidueCtx(fctx, mod)
@@ -133,23 +134,29 @@ class L1ConstructionSpec(Value):
         return -(-total // self.unit_count())
 
 
-def _unit_map(spec: L1ConstructionSpec):
-    """counts -> prod_i (x - alpha_i)^(counts_i) in the ring of spec; the q
-    linear factors are reduced once, here. Each factor is a unit, so by
-    Lagrange its power depends only on the count modulo the order of the
-    unit group."""
-    rctx = spec.residue_ctx()
+def _unit_map(spec: L1ConstructionSpec, rctx: ResidueCtx):
+    """counts -> coefficients of prod_i (x - alpha_i)^(counts_i) in rctx,
+    the ring of spec, low-first; the q linear factors are reduced once,
+    here. Each factor is a unit, so by Lagrange its power depends only on
+    the count modulo the order of the unit group."""
     fctx = spec.field_ctx()
-    factors = [rctx.reduce(Polynomial(fctx, (fctx.neg(ai), 1))) for ai in spec.alphas]
+    factors = [rctx.reduce(Polynomial(fctx, (fctx.neg(ai), 1))).coeffs for ai in spec.alphas]
     order = spec.unit_count()
+    one = rctx.one().coeffs
+    d, p = rctx.degree, spec.r
+    fold = _fold_pairs(rctx.modulus.coeffs, p)
 
-    def product(counts) -> UnitResidue:
-        result = rctx.one()
+    def mul(a, b):
+        return _mul_fold(a, b, fold, d, p)
+
+    def product(counts):
+        result = None
         for f, count in zip(factors, counts):
             e = count % order
             if e:
-                result = result * f**e
-        return result
+                power = _square_multiply(f, e, mul)
+                result = power if result is None else mul(result, power)
+        return one if result is None else result
 
     return product
 
@@ -159,7 +166,8 @@ def pi_map(a: Composition, spec: L1ConstructionSpec) -> UnitResidue:
     equals alpha."""
     if a.q != spec.q or a.weight != spec.n:
         raise DomainError(f"composition {a.counts} does not match the construction parameters")
-    return _unit_map(spec)(a.counts)
+    rctx = spec.residue_ctx()
+    return UnitResidue(rctx, tuple(_unit_map(spec, rctx)(a.counts)))
 
 
 def _composition_count(n: int, q: int, cap: int) -> int | None:
@@ -202,13 +210,13 @@ def construct_l1(spec: L1ConstructionSpec) -> tuple[Code, dict]:
             f"{count} compositions times (delta-1)^2 = {steps} ring steps for"
             f" delta={spec.delta} exceed the enumeration cap {ENUMERATION_CAP}"
         )
-    unit_of = _unit_map(spec)
+    rctx = spec.residue_ctx()
+    unit_of = _unit_map(spec, rctx)
+    encode = rctx.encode
     buckets: dict[int, list[Composition]] = {}
     for comp in compositions_colex(spec.n, spec.q):
-        buckets.setdefault(unit_of(comp.counts).code, []).append(comp)
-    best_code = min(
-        buckets, key=lambda c: (-len(buckets[c]), c)
-    )
+        buckets.setdefault(encode(unit_of(comp.counts)), []).append(comp)
+    best_code = min(buckets, key=lambda c: (-len(buckets[c]), c))
     members = tuple(buckets[best_code])
     code = Code(spec.q, spec.n, members, kind=CWL1)
     npairs = len(members) * (len(members) - 1) // 2

@@ -65,9 +65,7 @@ class FieldCtx:
         self.m = m
         self.q = p**m
         self.modulus = modulus  # monic, length m+1, low-first; () when m == 1
-        # x^m = sum of -c_i x^i over the modulus's nonzero lower terms c_i:
-        # the (i, -c_i mod p) pairs that ``mul`` folds a high term down by.
-        self._fold = tuple([(i, -c % p) for i, c in enumerate(modulus[:-1]) if c])
+        self._fold = _fold_pairs(modulus, p)
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
@@ -126,19 +124,9 @@ class FieldCtx:
         if self.m == 1:
             return a * b % self.p
         p = self.p
-        m = self.m
-        prod = _poly_mul_modp(self.decode(a), self.decode(b), p)
-        # Fold each term of degree k >= m down, highest first, by the
-        # modulus's nonzero lower terms only.
-        for k in range(len(prod) - 1, m - 1, -1):
-            lead = prod[k]
-            if lead:
-                shift = k - m
-                for i, c in self._fold:
-                    prod[shift + i] = (prod[shift + i] + lead * c) % p
         code = 0
-        for k in range(m - 1, -1, -1):
-            code = code * p + prod[k]
+        for c in reversed(_mul_fold(self.decode(a), self.decode(b), self._fold, self.m, p)):
+            code = code * p + c
         return code
 
     def inv(self, a: int) -> int:
@@ -179,13 +167,28 @@ def _square_multiply(x, e: int, mul):
     return result
 
 
-def _poly_mul_modp(a, b, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
+def _fold_pairs(modulus, p: int) -> tuple[tuple[int, int], ...]:
+    """The (i, -c_i mod p) pairs of a monic degree-m modulus's nonzero lower
+    terms c_i (low-first), x^m = sum of -c_i x^i, that ``_mul_fold`` uses."""
+    return tuple([(i, -c % p) for i, c in enumerate(modulus[:-1]) if c])
+
+
+def _mul_fold(a, b, fold, m: int, p: int) -> list[int]:
+    """a * b modulo a monic degree-m modulus over GF(p), given by its
+    ``_fold_pairs``: the schoolbook product of two low-first length-m
+    vectors; each term of degree >= m, highest first, is taken mod p and
+    folded down, and each kept coefficient is taken mod p once at the end."""
+    prod = [0] * (2 * m - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
+            for j, y in enumerate(b, i):
+                prod[j] += x * y
+    for shift in range(m - 2, -1, -1):
+        lead = prod[shift + m] % p
+        if lead:
+            for i, c in fold:
+                prod[shift + i] += lead * c
+    return [c % p for c in prod[:m]]
 
 
 def _poly_mod_modp(a, mod, p):
@@ -561,9 +564,9 @@ class UnitResidue(Value):
         rctx = self.rctx
         if rctx is not other.rctx and rctx != other.rctx:
             raise ContextMismatch("residues from different rings")
-        p = rctx.field.p
-        prod = _poly_mul_modp(self.coeffs, other.coeffs, p)
-        return UnitResidue(rctx, tuple(_poly_mod_modp(prod, rctx.modulus.coeffs, p)))
+        p, mod = rctx.field.p, rctx.modulus.coeffs
+        prod = _mul_fold(self.coeffs, other.coeffs, _fold_pairs(mod, p), len(mod) - 1, p)
+        return UnitResidue(rctx, tuple(prod))
 
     def __pow__(self, e: int) -> "UnitResidue":
         if e < 0:

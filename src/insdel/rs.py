@@ -455,9 +455,8 @@ def invertible_difference_indices(code: RsCode, k: int):
     """
     if k < 3:
         raise DomainError(f"need k >= 3, got {k}")
-    need = k * (k + 1) // 2 - 2
-    if code.n < need:
-        raise DomainError(f"need n >= {need} for k={k}, got n={code.n}")
+    if code.n < k + 1:
+        raise DomainError(f"need n >= {k + 1} for k={k}, got n={code.n}")
     ii, jj = _difference_indices(code.ctx, _power_table(code.ctx, code.alphas[: k + 1], k - 1), k)
     return tuple(ii), tuple(jj)
 
@@ -479,17 +478,18 @@ def _witness_ops(n: int, k: int) -> tuple[int, int]:
     [n, k] code, at most.
 
     The power table is counted at k-2 multiplies for each of the first
-    k(k+1)/2 + k - 3 points. It is built over the first 2k only, so that
-    term is an over-count, kept so that the cap admits exactly the inputs
-    it admitted before. ``_rref`` takes one inversion and at most
-    rc + 1 multiplies for each pivot of an r x c matrix, r <= c here: for
-    the determinant of order k-1 and for the (2k-2) x (2k-1) transpose of
-    the evaluation matrix. The certificate evaluates f and g, of at most
-    k terms, at the n points. The count also keeps the index search that
-    the closed form of ``invertible_difference_indices`` replaced: for
-    step d = 3..k-1, a (d-1) x d ``_rref`` and a d-term sum at each of
-    (d+1)(d+2)/2 - 1 points. So it stays an upper bound, and the cap
-    admits exactly the inputs it admitted with that search.
+    k(k+1)/2 + k - 3 >= 2k points, the length once required. It is built
+    over the first 2k only, so that term is an over-count, kept so that
+    the cap admits exactly the inputs it admitted before. ``_rref`` takes
+    one inversion and at most rc + 1 multiplies for each pivot of an
+    r x c matrix, r <= c here: for the determinant of order k-1 and for
+    the (2k-2) x (2k-1) transpose of the evaluation matrix. The
+    certificate evaluates f and g, of at most k terms, at the n points.
+    The count also keeps the index search that the closed form of
+    ``invertible_difference_indices`` replaced: for step d = 3..k-1, a
+    (d-1) x d ``_rref`` and a d-term sum at each of (d+1)(d+2)/2 - 1
+    points. So it stays an upper bound, and the cap admits exactly the
+    inputs it admitted with that search.
     """
     muls = (k * (k + 1) // 2 + k - 3) * (k - 2) + 2 * n * k
     invs = 0
@@ -527,9 +527,8 @@ def low_distance_witness(code: RsCode, k: int | None = None) -> dict:
         k = code.k
     if k < 3:
         raise DomainError(f"need k >= 3, got {k}")
-    need = k * (k + 1) // 2 + k - 3
-    if code.n < need:
-        raise DomainError(f"need n >= {need} for k={k}, got n={code.n}")
+    if code.n < 2 * k:
+        raise DomainError(f"need n >= {2 * k} for k={k}, got n={code.n}")
     ctx = code.ctx
     steps = witness_steps(code.n, k, ctx)
     if steps > WITNESS_STEP_CAP:
@@ -538,7 +537,7 @@ def low_distance_witness(code: RsCode, k: int | None = None) -> dict:
         )
     alphas = code.alphas
     # The extended indices end at ii[-1] = 2k-1 and jj[-1] = 2k-2, so the
-    # table needs the first 2k points only (2k <= need for k >= 3).
+    # table needs the first 2k points only.
     powers = _power_table(ctx, alphas[: 2 * k], k - 1)
     ii, jj = _difference_indices(ctx, powers, k)
     ii += range(ii[-1] + 1, ii[-1] + k)

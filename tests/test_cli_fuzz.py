@@ -187,8 +187,8 @@ CONSTRUCT_RS2 = _argv(
 
 # Long calls at the work caps over the largest prime field: a vector that
 # meets the criterion at n = 13 (a full scan, under 1 s), the least n the
-# criterion cap refuses, the largest k the witness cap admits at its least
-# n (about 0.3 s) and the least k it refuses.
+# criterion cap refuses, k = 42 on 942 points, which the witness cap
+# admits (about 0.3 s), and k = 43 on 986, which it refuses.
 AT_THE_CAPS = st.tuples(
     st.sampled_from(
         [

@@ -10,7 +10,7 @@ from insdel.cw_l1 import L1ConstructionSpec, construct_l1
 from insdel.errors import DomainError
 from insdel.gf import FieldCtx
 from insdel.lift import lift
-from insdel.words import CWL1, Code, Composition, Word
+from insdel.words import CWL1, Code, Composition, Word, insdel_distance_raw
 
 try:
     import jsonschema
@@ -267,6 +267,20 @@ class TestCliJson:
         assert doc["i"][:2] == [3, 4]
         assert doc["j"][:2] == [1, 3]
         assert doc["lcs_lower_bound"] >= 4
+
+    def test_witness_rs_at_2k_points(self):
+        result = run_cli(
+            "witness-rs", "--q", "17", "--k", "4", "--alphas", "0,1,2,3,4,5,6,7", "--json"
+        )
+        assert result.returncode == 0, result.stderr
+        doc = json.loads(result.stdout)
+        assert doc["lcs_lower_bound"] >= 6
+        assert doc["distance_upper_bound"] == 4
+        assert insdel_distance_raw(tuple(doc["codeword_f"]), tuple(doc["codeword_g"])) <= 4
+        short = run_cli("witness-rs", "--q", "17", "--k", "4", "--alphas", "0,1,2,3,4,5,6")
+        assert short.returncode == 1
+        assert short.stdout == ""
+        assert short.stderr == "insdel witness-rs: need n >= 8 for k=4, got n=7\n"
 
     def test_outputs_deterministic(self):
         first = run_cli("construct-rs2", "--n", "4", "--json").stdout

@@ -17,7 +17,7 @@ from insdel.cw_l1 import (
     verify_l1_code,
 )
 from insdel.errors import DomainError, ScaleCapExceeded
-from insdel.gf import Polynomial, field_make
+from insdel.gf import Polynomial, UnitResidue, field_make
 from insdel.words import (
     CWL1,
     L1,
@@ -236,6 +236,11 @@ REFERENCE_GRID = [
     L1ConstructionSpec(q=3, n=7, delta=4),
     L1ConstructionSpec(q=4, n=6, delta=5, alpha=3),
     L1ConstructionSpec(q=5, n=6, delta=3, r=11, alpha=7),
+    # Ring degrees 5 and 6, with every term of the modulus nonzero; the
+    # q = 2 fibres have 3 members.
+    L1ConstructionSpec(q=3, n=8, delta=6, r=7, alpha=2),
+    L1ConstructionSpec(q=2, n=28, delta=6, r=7, alpha=1),
+    L1ConstructionSpec(q=2, n=28, delta=7, r=7, alpha=4),
     # Counts past the unit group's order (6, 4 and 3), which the unit map
     # reduces before taking powers.
     L1ConstructionSpec(q=2, n=13, delta=3),
@@ -268,6 +273,18 @@ class TestAgainstPolynomialReference:
         code, report = construct_l1(spec)
         for comp in code.members:
             assert pi_map(comp, spec).code == report["bucket_unit"]
+
+
+def test_bucketing_builds_no_unit_residue_per_composition(monkeypatch):
+    built = []
+    init = UnitResidue.__init__
+    monkeypatch.setattr(UnitResidue, "__init__", lambda self, *args: built.append(1) or init(self, *args))
+    for spec in (L1ConstructionSpec(q=4, n=12, delta=3, alpha=2), REFERENCE_GRID[-1]):
+        built.clear()
+        construct_l1(spec)
+        # The q reduced linear factors and the ring's one, for 455 and 210
+        # compositions.
+        assert len(built) == spec.q + 1
 
 
 class TestExpertModulus:

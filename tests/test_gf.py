@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 
 from insdel.errors import ContextMismatch, DomainError, NonUnitError, ScaleCapExceeded
 from insdel.gf import (
+    SIZE_CAP,
     FieldCtx,
     Matrix,
     Polynomial,
     ResidueCtx,
     UnitResidue,
+    _fold_pairs,
+    _mul_fold,
     det,
     field_from_size,
     field_make,
@@ -362,3 +365,46 @@ class TestUnitArithmetic:
         v = ResidueCtx.linear_power(f5, 1, 3).one()
         with pytest.raises(ContextMismatch):
             u * v
+
+
+# GF(p^m) for p in {2, 3, 5, 7} and m <= 10, as far as the field size cap
+# lets ``field_make`` build them; monic moduli of any degree up to 10 fill
+# in the rest.
+FIELD_DEGREES = [(p, m) for p in (2, 3, 5, 7) for m in range(2, 11) if p**m <= SIZE_CAP]
+
+
+@st.composite
+def fold_cases(draw):
+    """A prime p, a monic modulus over GF(p) (low-first) and two reduced
+    vectors of its degree. The moduli: those of ``field_make``'s GF(p^m),
+    which also serve as construct-l1's irreducible moduli; linear powers
+    (x - alpha)^(delta-1), delta = 2..7; and arbitrary monic ones."""
+    kind = draw(st.sampled_from(["field", "linear", "monic"]))
+    if kind == "field":
+        p, m = draw(st.sampled_from(FIELD_DEGREES))
+        modulus = field_make(p, m).modulus
+    elif kind == "linear":
+        p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+        alpha, delta = draw(st.integers(0, p - 1)), draw(st.integers(2, 7))
+        modulus = ResidueCtx.linear_power(field_make(p), alpha, delta).modulus.coeffs
+    else:
+        p = draw(st.sampled_from([2, 3, 5, 7]))
+        modulus = tuple(draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=10))) + (1,)
+    vector = st.lists(st.integers(0, p - 1), min_size=len(modulus) - 1, max_size=len(modulus) - 1)
+    return p, modulus, draw(vector), draw(vector)
+
+
+class TestMulFold:
+    @given(fold_cases())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_polynomial_product_and_remainder(self, case):
+        p, modulus, a, b = case
+        field, m = field_make(p), len(modulus) - 1
+        rep = (Polynomial(field, a) * Polynomial(field, b)) % Polynomial(field, modulus)
+        expected = list(rep.coeffs) + [0] * (m - len(rep.coeffs))
+        assert _mul_fold(a, b, _fold_pairs(modulus, p), m, p) == expected
+
+    def test_fold_pairs_skip_zero_terms(self):
+        # x^4 + 2x + 3 over GF(5): x^4 = 3x + 2.
+        assert _fold_pairs((3, 2, 0, 0, 1), 5) == ((0, 2), (1, 3))
+        assert _fold_pairs((0, 0, 1), 7) == ()

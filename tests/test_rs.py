@@ -682,9 +682,37 @@ class TestLowDistanceWitness:
         with pytest.raises(DomainError):
             low_distance_witness(code)
 
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_shortest_code_has_2k_points(self, k):
+        # The certificate reads only the first 2k points, so on them it is
+        # the one built on a code of k(k+1)/2 + k - 3 points, the length
+        # the witness once required.
+        ctx = field_make(101)
+        alphas = tuple(random.Random(k).sample(range(101), k * (k + 1) // 2 + k - 3))
+        full = low_distance_witness(RsCode(ctx, alphas, k))
+        short = low_distance_witness(RsCode(ctx, alphas[: 2 * k], k))
+        for key in ("f", "g", "i", "j"):
+            assert short[key] == full[key]
+        for key in ("codeword_f", "codeword_g"):
+            assert short[key] == full[key][: 2 * k]
+        assert short["distance_upper_bound"] == 4
+        assert insdel_distance_raw(short["codeword_f"], short["codeword_g"]) <= 4
+        with pytest.raises(DomainError, match=f"need n >= {2 * k} for k={k}, got n={2 * k - 1}"):
+            low_distance_witness(RsCode(ctx, alphas[: 2 * k - 1], k))
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_indices_need_k_plus_one_points(self, k):
+        ctx = field_make(101)
+        closed_form = (tuple(range(2, k + 1)), (0, *range(2, k)))
+        assert invertible_difference_indices(RsCode(ctx, tuple(range(k + 1)), k), k) == closed_form
+        with pytest.raises(DomainError, match=f"need n >= {k + 1} for k={k}, got n={k}"):
+            invertible_difference_indices(RsCode(ctx, tuple(range(k)), k), k)
+
     @pytest.mark.parametrize(
         "q,k,extra",
-        [(7, 3, 0), (11, 4, 0), (53, 5, 3), (101, 6, 0), (1048573, 9, 5), (64, 4, 2), (243, 3, 0), (1024, 5, 0)],
+        [(7, 3, 0), (11, 4, 0), (53, 5, 3), (101, 6, 0), (1048573, 9, 5), (64, 4, 2), (243, 3, 0), (1024, 5, 0)]
+        # The least length, n = 2k.
+        + [(11, 4, -3), (53, 5, -7), (1048573, 9, -33), (64, 4, -3), (1024, 6, -12)],
     )
     def test_steps_bound_the_field_work(self, monkeypatch, q, k, extra):
         ctx = field_from_size(q)
