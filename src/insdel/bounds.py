@@ -200,10 +200,12 @@ def exact_iq(q: int, n: int, d: int, max_seconds: float | None = None):
     optimal code as witness.
 
     Vertices are the words of [q]^n in lexicographic order; edges join
-    pairs at distance >= d. Branch-and-bound with a greedy-coloring upper
-    bound, deterministic throughout. ``max_seconds`` bounds the whole run,
-    the adjacency build and both phases of the clique search together
-    (``ScaleCapExceeded`` past it).
+    pairs at distance >= d. The adjacency is built from one LCS row per
+    orbit of symbol renaming and reversal (``_insdel_graph``).
+    Branch-and-bound with a greedy-coloring upper bound, deterministic
+    throughout. ``max_seconds`` bounds the whole run, the adjacency build
+    and both phases of the clique search together (``ScaleCapExceeded``
+    past it).
     """
     _check_even_d(q, n, d)
     # q >= 2, so q^n passes the cap once n passes its bit length; q^n is
@@ -212,29 +214,101 @@ def exact_iq(q: int, n: int, d: int, max_seconds: float | None = None):
         raise ScaleCapExceeded(f"q^n = {q}^{n} vertices exceed the cap {CLIQUE_VERTEX_CAP}")
     deadline = None if max_seconds is None else time.monotonic() + max_seconds
     words = list(itertools.product(range(q), repeat=n))
-    size, clique = _first_max_clique(_insdel_graph(words, n, d, deadline), deadline)
+    size, clique = _first_max_clique(_insdel_graph(words, q, n, d, deadline), deadline)
     code = Code(q, n, tuple([Word(q, words[v]) for v in sorted(clique)]))
     return size, code
 
 
-def _insdel_graph(words: list, n: int, d: int, deadline: float | None) -> list[int]:
-    """Adjacency bitsets joining the pairs of length-n ``words`` at insdel
-    distance >= d (even), that is with LCS <= n - d // 2.
+def _insdel_graph(words: list, q: int, n: int, d: int, deadline: float | None) -> list[int]:
+    """Adjacency bitsets joining the pairs of ``words``, all of [q]^n in
+    lexicographic order, at insdel distance >= d (even), that is with
+    LCS <= n - d // 2.
 
-    Each word's match masks are built once, not once per pair. The budget
-    is checked once per row.
+    The LCS length, and so the graph, is unchanged when both words are
+    renamed by one permutation of the symbols or both are reversed: S_q x
+    reversal acts on the graph by automorphisms. LCS runs only for one
+    representative r per orbit, the orbit's least word (``_orbit_rep``):
+    its row against every word, from r's match masks built once. Every
+    other word w is g(r) for some g of the group, and g preserves
+    adjacency, so bit v of row(w) is bit g^-1(v) of row(r). That row is
+    moved, not recomputed, and equals the row LCS would give. The words
+    that one g reaches share its index list. The budget is checked once
+    per row.
     """
-    masks = [match_masks(w) for w in words]
     most = n - d // 2
+    index = {w: i for i, w in enumerate(words)}
     adj = [0] * len(words)
-    for i, wi in enumerate(words):
-        if deadline is not None and time.monotonic() > deadline:
-            raise ScaleCapExceeded("adjacency build exceeded the time budget")
-        for j in range(i + 1, len(words)):
-            if lcs_length_masked(wi, masks[j], n) <= most:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    moved: dict = {}
+    for i, w in enumerate(words):
+        rep, rev, firsts = _orbit_rep(w)
+        r = index[rep]
+        if r == i:
+            if deadline is not None and time.monotonic() > deadline:
+                raise ScaleCapExceeded("adjacency build exceeded the time budget")
+            masks = match_masks(w)
+            bits = ["1" if lcs_length_masked(v, masks, n) <= most else "0" for v in reversed(words)]
+            adj[i] = int("".join(bits), 2)
+        else:
+            moved.setdefault((firsts, rev), []).append((i, r))
+    # Index lists are sliced and gathered from ints in C rather than
+    # summed one entry at a time; flip gathers one at the reversed words.
+    ints = list(range(len(words)))
+    flip = operator.itemgetter(*[index[w[::-1]] for w in words])
+    for (firsts, rev), pairs in moved.items():
+        # g^-1 takes w to r: it reverses if rev, then renames by firsts.
+        order = _renaming_order(firsts, q, n, ints)
+        permute = _bit_permutation(flip(order) if rev else order, len(words))
+        for i, r in pairs:
+            if deadline is not None and time.monotonic() > deadline:
+                raise ScaleCapExceeded("adjacency build exceeded the time budget")
+            adj[i] = permute(adj[r])
     return adj
+
+
+def _orbit_rep(w) -> tuple:
+    """``(r, rev, firsts)``: the representative r = min(rgs(w),
+    rgs(reverse(w))) of the orbit of ``w`` under symbol renaming and
+    reversal, whether it renames the reversed word, and the symbols of
+    that word in order of first occurrence, renamed 0, 1, ... in r.
+
+    rgs renames symbols in order of first occurrence (the restricted
+    growth string), the least word a renaming reaches, so r is the
+    orbit's least word. A tie keeps the unreversed word.
+    """
+    return min(_rgs(w, False), _rgs(w[::-1], True))
+
+
+def _rgs(w, rev: bool) -> tuple:
+    firsts = tuple(dict.fromkeys(w))
+    rank = {s: j for j, s in enumerate(firsts)}
+    return tuple([rank[s] for s in w]), rev, firsts
+
+
+def _renaming_order(firsts: tuple, q: int, n: int, ints: list[int]) -> list[int]:
+    """Indices, in lexicographic order of [q]^n, of the words renamed
+    symbol by symbol by rho, the permutation of [q] that sends firsts[j]
+    to j and the other symbols, in ascending order, to len(firsts),
+    len(firsts) + 1, ...
+
+    ``ints`` is list(range(q**n)). Between two of the firsts rho is a
+    shifted range, and the indices of the words of length m + 1 starting
+    with a are rho(a) * q^m plus those of length m, so every entry is
+    sliced or gathered from ``ints`` rather than computed.
+    """
+    k = len(firsts)
+    rho: list[int] = []
+    for j, b in enumerate(sorted(firsts)):
+        rho += ints[len(rho) + k - j : b + k - j]
+        rho.append(firsts.index(b))
+    rho += ints[len(rho) : q]
+    order, block = rho, 1
+    for _ in range(n - 1):
+        block *= q
+        pick = operator.itemgetter(*order)
+        order = []
+        for s in rho:
+            order += pick(ints[s * block : s * block + block])
+    return order
 
 
 def _first_max_clique(adj: list[int], deadline: float | None):
@@ -258,14 +332,21 @@ def _first_max_clique(adj: list[int], deadline: float | None):
 
 
 def _relabel(adj: list[int], order: list[int]) -> list[int]:
-    """Adjacency bitsets of the graph with vertex ``order[i]`` renamed ``i``.
+    """Adjacency bitsets of the graph with vertex ``order[i]`` renamed ``i``."""
+    permute = _bit_permutation(order, len(adj))
+    return [permute(adj[v]) for v in order]
 
-    Each row is permuted as a string of binary digits (most significant
-    first), so the work per row runs in C rather than once per edge.
+
+def _bit_permutation(order: list[int], width: int):
+    """The map from a ``width``-bit set b to the bit set whose bit i is
+    bit ``order[i]`` of b.
+
+    b is permuted as a string of binary digits, least significant first,
+    so the work per bit set runs in C rather than once per bit.
     """
-    width = len(adj)
-    pick = operator.itemgetter(*[width - 1 - v for v in reversed(order)])
-    return [int("".join(pick(format(adj[v], f"0{width}b"))), 2) for v in order]
+    pick = operator.itemgetter(*order)
+    digits = f"0{width}b"
+    return lambda b: int("".join(pick(format(b, digits)[::-1]))[::-1], 2)
 
 
 def _max_clique(

@@ -231,11 +231,11 @@ class TestExactIq:
             exact_iq(q, n, 2)
 
     def test_budget_covers_adjacency_build(self, capsys):
-        # (3, 7, 4) builds its adjacency from about 2.4e6 LCS runs (over
-        # 3 s with each word's match masks built once); the budget is
-        # checked once per row of the build.
+        # (3, 7, 4) builds its adjacency from 196 LCS rows of 2187 words
+        # (about 0.5 s on a shared 2-vCPU Xeon), over 10 times the
+        # budget; the budget is checked once per row of the build.
         start = time.monotonic()
-        code = main(["exact-iq", "--q", "3", "--n", "7", "--d", "4", "--max-seconds", "0.5"])
+        code = main(["exact-iq", "--q", "3", "--n", "7", "--d", "4", "--max-seconds", "0.05"])
         assert time.monotonic() - start < 1.0
         assert code == 2
         assert capsys.readouterr().err == "insdel exact-iq: scale cap: adjacency build exceeded the time budget\n"
@@ -389,6 +389,26 @@ def _graph_from(words, joined):
     return adj
 
 
+# Instances whose words use fewer than q symbols, and where reversal maps
+# one orbit representative's row to other words; (5, 3, 4) is in
+# SWEEP_INSTANCES.
+ORBIT_INSTANCES = [(6, 3, 4), (8, 3, 4), (2, 9, 6)]
+
+
+def _renames(a, b):
+    """Whether one bijection of symbols takes word ``a`` to word ``b``."""
+    pairs = set(zip(a, b))
+    return len(a) == len(b) and len(pairs) == len(set(a)) == len(set(b))
+
+
+@st.composite
+def word_and_symmetry(draw):
+    q = draw(st.integers(2, 8))
+    w = tuple(draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=10)))
+    sigma = draw(st.permutations(range(q)))
+    return w, sigma, draw(st.booleans())
+
+
 class TestInsdelGraph:
     def test_matches_edit_graph_oracle(self):
         # Every (q, n) with q^n <= 32 and every even d, against distances
@@ -399,13 +419,25 @@ class TestInsdelGraph:
             symbols = [w.symbols for w in words]
             for d in range(2, 2 * n + 1, 2):
                 want = _graph_from(words, lambda u, v: dist[u, v] >= d)
-                assert bounds._insdel_graph(symbols, n, d, None) == want, (q, n, d)
+                assert bounds._insdel_graph(symbols, q, n, d, None) == want, (q, n, d)
 
-    @pytest.mark.parametrize("q, n, d", SWEEP_INSTANCES)
+    @pytest.mark.parametrize("q, n, d", SWEEP_INSTANCES + ORBIT_INSTANCES)
     def test_matches_pairwise_lcs(self, q, n, d):
         words = list(itertools.product(range(q), repeat=n))
         want = _graph_from(words, lambda a, b: 2 * (n - lcs_length_raw(a, b)) >= d)
-        assert bounds._insdel_graph(words, n, d, None) == want
+        assert bounds._insdel_graph(words, q, n, d, None) == want
+
+    @given(word_and_symmetry())
+    @settings(max_examples=300, deadline=None)
+    def test_orbit_rep_is_shared_and_in_the_orbit(self, case):
+        w, sigma, rev = case
+        moved = tuple([sigma[s] for s in w])
+        if rev:
+            moved = moved[::-1]
+        rep = bounds._orbit_rep(w)[0]
+        assert bounds._orbit_rep(moved)[0] == rep
+        assert _renames(w, rep) or _renames(w[::-1], rep)
+        assert rep <= w
 
 
 def rs_code_as_words(q, n, k):
