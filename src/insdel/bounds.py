@@ -201,11 +201,12 @@ def exact_iq(q: int, n: int, d: int, max_seconds: float | None = None):
 
     Vertices are the words of [q]^n in lexicographic order; edges join
     pairs at distance >= d. The adjacency is built from one LCS row per
-    orbit of symbol renaming and reversal (``_insdel_graph``).
-    Branch-and-bound with a greedy-coloring upper bound, deterministic
-    throughout. ``max_seconds`` bounds the whole run, the adjacency build
-    and both phases of the clique search together (``ScaleCapExceeded``
-    past it).
+    orbit of symbol renaming and reversal (``_insdel_graph``), and the
+    size is proven by branching on one vertex per orbit of the same group
+    (``_insdel_symmetry``). Branch-and-bound with a greedy-coloring upper
+    bound, deterministic throughout. ``max_seconds`` bounds the whole
+    run, the adjacency build and both phases of the clique search
+    together (``ScaleCapExceeded`` past it).
     """
     _check_even_d(q, n, d)
     # q >= 2, so q^n passes the cap once n passes its bit length; q^n is
@@ -214,15 +215,19 @@ def exact_iq(q: int, n: int, d: int, max_seconds: float | None = None):
         raise ScaleCapExceeded(f"q^n = {q}^{n} vertices exceed the cap {CLIQUE_VERTEX_CAP}")
     deadline = None if max_seconds is None else time.monotonic() + max_seconds
     words = list(itertools.product(range(q), repeat=n))
-    size, clique = _first_max_clique(_insdel_graph(words, q, n, d, deadline), deadline)
+    adj, reps = _insdel_graph(words, q, n, d, deadline)
+    size, clique = _first_max_clique(adj, deadline, _insdel_symmetry(words, q, reps))
     code = Code(q, n, tuple([Word(q, words[v]) for v in sorted(clique)]))
     return size, code
 
 
-def _insdel_graph(words: list, q: int, n: int, d: int, deadline: float | None) -> list[int]:
-    """Adjacency bitsets joining the pairs of ``words``, all of [q]^n in
-    lexicographic order, at insdel distance >= d (even), that is with
-    LCS <= n - d // 2.
+def _insdel_graph(
+    words: list, q: int, n: int, d: int, deadline: float | None
+) -> tuple[list[int], list[int]]:
+    """``(adj, reps)``: adjacency bitsets joining the pairs of ``words``,
+    all of [q]^n in lexicographic order, at insdel distance >= d (even),
+    that is with LCS <= n - d // 2, and for each word the index of its
+    orbit's representative.
 
     The LCS length, and so the graph, is unchanged when both words are
     renamed by one permutation of the symbols or both are reversed: S_q x
@@ -238,10 +243,11 @@ def _insdel_graph(words: list, q: int, n: int, d: int, deadline: float | None) -
     most = n - d // 2
     index = {w: i for i, w in enumerate(words)}
     adj = [0] * len(words)
+    reps = [0] * len(words)
     moved: dict = {}
     for i, w in enumerate(words):
         rep, rev, firsts = _orbit_rep(w)
-        r = index[rep]
+        r = reps[i] = index[rep]
         if r == i:
             if deadline is not None and time.monotonic() > deadline:
                 raise ScaleCapExceeded("adjacency build exceeded the time budget")
@@ -262,7 +268,7 @@ def _insdel_graph(words: list, q: int, n: int, d: int, deadline: float | None) -
             if deadline is not None and time.monotonic() > deadline:
                 raise ScaleCapExceeded("adjacency build exceeded the time budget")
             adj[i] = permute(adj[r])
-    return adj
+    return adj, reps
 
 
 def _orbit_rep(w) -> tuple:
@@ -311,23 +317,125 @@ def _renaming_order(firsts: tuple, q: int, n: int, ints: list[int]) -> list[int]
     return order
 
 
-def _first_max_clique(adj: list[int], deadline: float | None):
+def _insdel_symmetry(words: list, q: int, reps: list[int]):
+    """``orbit(fixed, v)``: the indices of the words in the orbit of
+    words[v] under the pointwise stabilizer of the words ``fixed`` (a
+    list of indices) in S_q x reversal, for ``_first_max_clique``.
+
+    With nothing fixed the orbit is the one ``_insdel_graph`` found: the
+    words sharing v's representative in ``reps``. Otherwise it is
+    generated from the words: the renamings of w = words[v] that the
+    stabilizer holds (``_stabilizer``), and with tau those of tau applied
+    to reversed w. The group itself is never listed. A search asks for
+    orbits under one fixed list many times in a row, so the stabilizer is
+    kept per length of that list.
+    """
+    root: dict = {}
+    stabilizers: dict = {}
+
+    def orbit(fixed: list[int], v: int) -> list[int]:
+        if not fixed:
+            if not root:
+                for i, r in enumerate(reps):
+                    root.setdefault(r, []).append(i)
+            return root[reps[v]]
+        kept = stabilizers.get(len(fixed))
+        if kept is None or kept[0] != fixed:
+            kept = stabilizers[len(fixed)] = fixed, _stabilizer([words[c] for c in fixed], q)
+        used, free, tau = kept[1]
+        w = words[v]
+        mates = _renamings(w, q, used, free)
+        if tau is not None:
+            turned = _renamings([tau.get(s, s) for s in reversed(w)], q, used, free)
+            # Orbits of the renamings of free are equal or disjoint.
+            if turned[0] not in mates:
+                mates += turned
+        return mates
+
+    return orbit
+
+
+def _stabilizer(fixed: list, q: int) -> tuple:
+    """``(used, free, tau)`` for the pointwise stabilizer of the words
+    ``fixed`` in S_q x reversal.
+
+    A renaming fixes every word of ``fixed`` exactly when it fixes every
+    symbol they use, so the renamings in the stabilizer are those of
+    ``free``, the unused symbols, among themselves. A renaming composed
+    with reversal fixes them when it maps each reversed word back to
+    itself, which determines it on ``used``: ``tau``, or None when the
+    symbol pairs (w[n-1-i], w[i]) ask one symbol to go to two. The pairs
+    come both ways round, so a consistent tau is its own inverse, a
+    bijection of ``used``. With tau, the stabilizer is every renaming of
+    ``free`` and each of them composed with tau and reversal.
+    """
+    used = set().union(*fixed)
+    free = [s for s in range(q) if s not in used]
+    tau: dict = {}
+    for w in fixed:
+        for a, b in zip(reversed(w), w):
+            if tau.setdefault(a, b) != b:
+                return used, free, None
+    return used, free, tau
+
+
+def _renamings(w, q: int, used: set, free: list[int]) -> list[int]:
+    """Indices, w read in base q, of the words that rename the symbols
+    of ``w`` outside ``used`` one-to-one into ``free``.
+
+    A symbol s at the positions P adds s * sum(q^(n-1-i) for i in P) to
+    the index, so each renaming costs one dot product with those sums.
+    """
+    base, weights = 0, {}
+    place = q ** len(w)
+    for s in w:
+        place //= q
+        if s in used:
+            base += s * place
+        else:
+            weights[s] = weights.get(s, 0) + place
+    weights = list(weights.values())
+    renamings = itertools.permutations(free, len(weights))
+    return [base + sum(map(operator.mul, p, weights)) for p in renamings]
+
+
+def _trivial_group(fixed: list[int], v: int) -> list[int]:
+    """The orbits of the trivial group: v alone."""
+    return [v]
+
+
+def _first_max_clique(adj: list[int], deadline: float | None, orbit=_trivial_group):
     """The first maximum clique that ``_max_clique`` meets on ``adj``.
 
     The size omega is proven on a copy relabelled in non-increasing degree
     order (ties by index), where the colouring bound is much tighter
-    (Tomita & Seki, MCQ). The search on the original labels is then
-    replayed with the incumbent seeded to omega - 1 and stops at the first
+    (Tomita & Seki, MCQ), by orbital branching (Ostrowski et al., 2011)
+    under a group of automorphisms of ``adj``. ``orbit(fixed, v)`` lists
+    the orbit of v under the pointwise stabilizer of the vertices
+    ``fixed``; the trivial group by default, which branches on every
+    vertex. Once the branch on v at a node with clique K is explored, the
+    proof drops v's whole orbit under K's stabilizer from that node's
+    candidates (see ``_max_clique`` for why that is exact).
+
+    The search on the original labels is then replayed, without the
+    group, with the incumbent seeded to omega - 1 and stops at the first
     omega-clique. Before that clique the unseeded search's incumbent is
     below omega, so the replay prunes at least as much and visits a subset
     of its nodes in the same order; every node on the path to the clique
     has a colouring bound >= omega and survives. So the replay returns the
-    clique the unseeded search would.
+    clique the unseeded search would, whatever group proved omega.
     """
     if not adj:
         return 0, []
     order = sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v))
-    omega, _ = _max_clique(_relabel(adj, order), deadline)
+    label = [0] * len(order)
+    for i, v in enumerate(order):
+        label[v] = i
+
+    def relabelled(clique: list[int], v: int) -> list[int]:
+        return [label[u] for u in orbit([order[c] for c in clique], order[v])]
+
+    omega, _ = _max_clique(_relabel(adj, order), deadline, 0, None, relabelled)
     return _max_clique(adj, deadline, omega - 1, omega)
 
 
@@ -354,6 +462,7 @@ def _max_clique(
     deadline: float | None,
     best_size: int = 0,
     stop_size: int | None = None,
+    orbit=_trivial_group,
 ):
     """Branch-and-bound maximum clique larger than ``best_size``.
 
@@ -362,6 +471,20 @@ def _max_clique(
     stack of frames ``[order, colors, next index, candidates]`` replaces
     one recursion level per clique vertex, visiting nodes in the same
     order, so cliques of any size up to the vertex cap fit.
+
+    A node with clique K drops each vertex v it has explored from its
+    candidates together with ``orbit(K, v)``, v's orbit under the
+    pointwise stabilizer of K in a group of automorphisms. The drop waits
+    until the node branches again, so a node the bound closes asks for
+    no orbit. This is exact: the root's candidates are all vertices, and
+    a child's are its parent's, which the child's stabilizer (a subgroup
+    of the parent's) keeps, met with the neighbours of a vertex it fixes,
+    so every node's candidates stay a union of its stabilizer's orbits.
+    An element of that stabilizer then maps the cliques through v among
+    them onto those through each orbit-mate of v, so no orbit-mate leads
+    to a clique the branch on v could not reach. With the trivial group
+    the search is plain branch and bound. Colour bounds stay valid: the
+    vertices left at or before an index are a subset of those coloured.
     """
     best_clique: list[int] = []
 
@@ -397,14 +520,20 @@ def _max_clique(
         order, colors, idx, candidates = top
         idx -= 1
         if idx < 0 or len(clique) + colors[idx] <= best_size:
-            # Frame exhausted or bounded: back in the parent, drop the
-            # vertex this frame extended.
+            # Frame exhausted or bounded: back in the parent.
             stack.pop()
             if stack:
-                stack[-1][3] &= ~(1 << clique.pop())
+                clique.pop()
             continue
         top[2] = idx
+        if idx + 1 < len(order) and candidates >> order[idx + 1] & 1:
+            # The vertex explored last leaves with its orbit.
+            for u in orbit(clique, order[idx + 1]):
+                candidates &= ~(1 << u)
+            top[3] = candidates
         v = order[idx]
+        if not candidates >> v & 1:
+            continue
         clique.append(v)
         nxt = candidates & adj[v]
         if nxt:
@@ -416,7 +545,6 @@ def _max_clique(
             if best_size == stop_size:
                 break
         clique.pop()
-        top[3] = candidates & ~(1 << v)
     return best_size, best_clique
 
 
