@@ -407,26 +407,37 @@ def _trivial_group(fixed: list[int], v: int) -> list[int]:
 def _first_max_clique(adj: list[int], deadline: float | None, orbit=_trivial_group):
     """The first maximum clique that ``_max_clique`` meets on ``adj``.
 
-    The size omega is proven on a copy relabelled in non-increasing degree
-    order (ties by index), where the colouring bound is much tighter
-    (Tomita & Seki, MCQ), by orbital branching (Ostrowski et al., 2011)
-    under a group of automorphisms of ``adj``. ``orbit(fixed, v)`` lists
-    the orbit of v under the pointwise stabilizer of the vertices
-    ``fixed``; the trivial group by default, which branches on every
-    vertex. Once the branch on v at a node with clique K is explored, the
-    proof drops v's whole orbit under K's stabilizer from that node's
-    candidates (see ``_max_clique`` for why that is exact).
+    A complete graph is answered from its rows: each vertex is a colour
+    class of its own, so the search takes the highest candidate at every
+    level and returns all m vertices, m - 1 down to 0.
 
-    The search on the original labels is then replayed, without the
-    group, with the incumbent seeded to omega - 1 and stops at the first
-    omega-clique. Before that clique the unseeded search's incumbent is
-    below omega, so the replay prunes at least as much and visits a subset
-    of its nodes in the same order; every node on the path to the clique
-    has a colouring bound >= omega and survives. So the replay returns the
+    Otherwise the size omega is proven by ``_omega`` and the search on
+    the original labels is replayed, without the group, with the
+    incumbent seeded to omega - 1, and stops at the first omega-clique.
+    Before that clique the unseeded search's incumbent is below omega, so
+    the replay prunes at least as much and visits a subset of its nodes
+    in the same order; every node on the path to the clique has a
+    colouring bound >= omega and survives. So the replay returns the
     clique the unseeded search would, whatever group proved omega.
     """
-    if not adj:
-        return 0, []
+    full = (1 << len(adj)) - 1
+    if all(row == full ^ 1 << v for v, row in enumerate(adj)):
+        return len(adj), list(range(len(adj) - 1, -1, -1))
+    omega = _omega(adj, deadline, orbit)
+    return _max_clique(adj, deadline, omega - 1, omega)
+
+
+def _omega(adj: list[int], deadline: float | None, orbit=_trivial_group) -> int:
+    """The clique number of ``adj``, proven on a copy relabelled in
+    non-increasing degree order (ties by index), where the colouring bound
+    is much tighter (Tomita & Seki, MCQ), by orbital branching (Ostrowski
+    et al., 2011) under a group of automorphisms of ``adj``.
+    ``orbit(fixed, v)`` lists the orbit of v under the pointwise
+    stabilizer of the vertices ``fixed``; the trivial group by default,
+    which branches on every vertex. Once the branch on v at a node with
+    clique K is explored, the proof drops v's whole orbit under K's
+    stabilizer from that node's candidates (see ``_max_clique`` for why
+    that is exact)."""
     order = sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v))
     label = [0] * len(order)
     for i, v in enumerate(order):
@@ -435,8 +446,7 @@ def _first_max_clique(adj: list[int], deadline: float | None, orbit=_trivial_gro
     def relabelled(clique: list[int], v: int) -> list[int]:
         return [label[u] for u in orbit([order[c] for c in clique], order[v])]
 
-    omega, _ = _max_clique(_relabel(adj, order), deadline, 0, None, relabelled)
-    return _max_clique(adj, deadline, omega - 1, omega)
+    return _max_clique(_relabel(adj, order), deadline, 0, None, relabelled)[0]
 
 
 def _relabel(adj: list[int], order: list[int]) -> list[int]:

@@ -21,6 +21,7 @@ from .gf import (
     _fold_pairs,
     _is_irreducible_modp,
     _mul_fold,
+    _square_fold,
     _square_multiply,
     field_make,
     is_prime,
@@ -149,12 +150,15 @@ def _unit_map(spec: L1ConstructionSpec, rctx: ResidueCtx):
     def mul(a, b):
         return _mul_fold(a, b, fold, d, p)
 
+    def square(a):
+        return _square_fold(a, fold, d, p)
+
     def product(counts):
         result = None
         for f, count in zip(factors, counts):
             e = count % order
             if e:
-                power = _square_multiply(f, e, mul)
+                power = _square_multiply(f, e, mul, square)
                 result = power if result is None else mul(result, power)
         return one if result is None else result
 

@@ -66,6 +66,7 @@ class FieldCtx:
         self.q = p**m
         self.modulus = modulus  # monic, length m+1, low-first; () when m == 1
         self._fold = _fold_pairs(modulus, p)
+        self._squares = _frobenius_table(modulus) if p == 2 and m > 1 else ()
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
@@ -129,6 +130,23 @@ class FieldCtx:
             code = code * p + c
         return code
 
+    def square(self, a: int) -> int:
+        if self.m == 1:
+            return a * a % self.p
+        if self.p == 2:  # squaring is additive: XOR the squares of a's set bits
+            squares = self._squares
+            code = 0
+            while a:
+                low = a & -a
+                code ^= squares[low.bit_length() - 1]
+                a ^= low
+            return code
+        p = self.p
+        code = 0
+        for c in reversed(_square_fold(self.decode(a), self._fold, self.m, p)):
+            code = code * p + c
+        return code
+
     def inv(self, a: int) -> int:
         if a == 0:
             raise DomainError("zero has no inverse")
@@ -144,23 +162,24 @@ class FieldCtx:
             return self.pow(self.inv(a), -e)
         if e == 0:
             return 1
-        return _square_multiply(a, e, self.mul)
+        return _square_multiply(a, e, self.mul, self.square)
 
     def elements(self):
         return range(self.q)
 
 
-def _square_multiply(x, e: int, mul):
-    """x^e for e >= 1 under the product ``mul``. Squares up to the lowest
-    set bit, starts there, and stops squaring at the top bit:
-    popcount(e) - 1 + bit_length(e) - 1 products."""
+def _square_multiply(x, e: int, mul, square):
+    """x^e for e >= 1 under the product ``mul``, whose square of x is
+    ``square(x)``. Squares up to the lowest set bit, starts there, and
+    stops squaring at the top bit: popcount(e) - 1 multiplies and
+    bit_length(e) - 1 squares."""
     while not e & 1:
-        x = mul(x, x)
+        x = square(x)
         e >>= 1
     result = x
     e >>= 1
     while e:
-        x = mul(x, x)
+        x = square(x)
         if e & 1:
             result = mul(result, x)
         e >>= 1
@@ -189,6 +208,48 @@ def _mul_fold(a, b, fold, m: int, p: int) -> list[int]:
             for i, c in fold:
                 prod[shift + i] += lead * c
     return [c % p for c in prod[:m]]
+
+
+def _square_fold(a, fold, m: int, p: int) -> list[int]:
+    """``_mul_fold(a, a, fold, m, p)`` from the upper triangle of the
+    product: each cross term a_i a_j, i < j, is formed once and doubled,
+    then folded down the same way."""
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(a):
+        if x:
+            j = i + i
+            prod[j] += x * x
+            x += x
+            for y in a[i + 1 :]:
+                j += 1
+                prod[j] += x * y
+    for shift in range(m - 2, -1, -1):
+        lead = prod[shift + m] % p
+        if lead:
+            for i, c in fold:
+                prod[shift + i] += lead * c
+    return [c % p for c in prod[:m]]
+
+
+def _frobenius_table(modulus) -> tuple[int, ...]:
+    """Codes of x^(2i) mod f, i < m, for a monic binary modulus f of
+    degree m (low-first). Over GF(2) the square of a sum is the sum of
+    the squares, so a code's square is the XOR of the entries at its set
+    bits. Each entry is the last times x^2: two shifts, each clearing bit
+    m against f."""
+    m = len(modulus) - 1
+    f = 0
+    for c in reversed(modulus):
+        f = f << 1 | c
+    table = []
+    t = 1
+    for _ in range(m):
+        table.append(t)
+        for _ in range(2):
+            t <<= 1
+            if t >> m & 1:
+                t ^= f
+    return tuple(table)
 
 
 def _poly_mod_modp(a, mod, p):
@@ -573,4 +634,4 @@ class UnitResidue(Value):
             raise DomainError("negative powers not needed; invert explicitly")
         if e == 0:
             return self.rctx.one()
-        return _square_multiply(self, e, UnitResidue.__mul__)
+        return _square_multiply(self, e, UnitResidue.__mul__, lambda u: u * u)

@@ -336,6 +336,25 @@ class TestTwoPhaseClique:
     def test_matches_single_phase_search(self, adj):
         assert bounds._first_max_clique(adj, None) == _single_phase_clique(adj)
 
+    @pytest.mark.parametrize("m", range(1, 65))
+    def test_complete_graph_answered_as_searched(self, monkeypatch, m):
+        adj = [((1 << m) - 1) ^ 1 << v for v in range(m)]
+        omega = bounds._omega(adj, None)
+        searched = bounds._max_clique(adj, None, omega - 1, omega)
+        assert searched == _single_phase_clique(adj) == (m, list(range(m - 1, -1, -1)))
+        monkeypatch.setattr(bounds, "_max_clique", None)
+        assert bounds._first_max_clique(adj, None) == searched
+
+    def test_complete_insdel_graph_skips_the_search(self, monkeypatch):
+        # d = 2 joins every pair of distinct words. A clique search on this
+        # graph takes about 28 s; the adjacency build alone about 1 s on a
+        # shared 2-vCPU Xeon.
+        monkeypatch.setattr(bounds, "_max_clique", None)
+        start = time.monotonic()
+        size, code = exact_iq(64, 2, 2)
+        assert time.monotonic() - start < 10
+        assert size == 4096 and code.members == tuple(all_words(64, 2))
+
     def test_exact_iq_witness_unchanged(self, monkeypatch):
         graphs = []
         first = bounds._first_max_clique
@@ -440,25 +459,6 @@ class TestInsdelGraph:
         assert rep <= w
 
 
-class _Proven(Exception):
-    """Carries omega out of the proof phase of ``_first_max_clique``."""
-
-
-def _proven_omega(monkeypatch, adj, *orbit):
-    """omega as the degree-ordered proof of ``_first_max_clique`` finds it,
-    without running the replay."""
-    search = bounds._max_clique
-
-    def proof_only(*args):
-        raise _Proven(search(*args)[0])
-
-    with monkeypatch.context() as patch:
-        patch.setattr(bounds, "_max_clique", proof_only)
-        with pytest.raises(_Proven) as proven:
-            bounds._first_max_clique(adj, None, *orbit)
-    return proven.value.args[0]
-
-
 # Proofs too slow for the suite: without the group (4, 4, 4) takes about
 # 16 s, (3, 5, 4) 27 s and (8, 3, 4) over 100 s; even with it (2, 8, 4)
 # takes 270 s. (4, 4, 4) is checked against its known size below.
@@ -546,11 +546,11 @@ class TestOrbitalProof:
         assert bounds._first_max_clique(adj, None, orbit) == _single_phase_clique(adj)
 
     @pytest.mark.parametrize("q, n, d", PROOF_INSTANCES)
-    def test_symmetry_keeps_omega(self, monkeypatch, q, n, d):
+    def test_symmetry_keeps_omega(self, q, n, d):
         words = list(itertools.product(range(q), repeat=n))
         adj, reps = bounds._insdel_graph(words, q, n, d, None)
         symmetry = bounds._insdel_symmetry(words, q, reps)
-        assert _proven_omega(monkeypatch, adj, symmetry) == _proven_omega(monkeypatch, adj)
+        assert bounds._omega(adj, None, symmetry) == bounds._omega(adj, None)
 
     @given(fixed_words_and_word())
     @settings(max_examples=300, deadline=None)

@@ -15,6 +15,7 @@ from insdel.gf import (
     UnitResidue,
     _fold_pairs,
     _mul_fold,
+    _square_fold,
     det,
     field_from_size,
     field_make,
@@ -150,18 +151,43 @@ class TestExtensionKernel:
                 assert ctx.mul(a, ctx.pow(a, q - 2)) == 1
                 assert ctx.pow(a, -5) == ctx.pow(ctx.inv(a), 5)
 
-    @pytest.mark.parametrize("e, multiplies", [(0, 0), (1, 0), (2, 1), (8, 3), (13, 5), (255, 14), (510, 15)])
-    def test_pow_multiply_count(self, monkeypatch, e, multiplies):
+    # Ids keep e and the total product count, multiplies plus squares.
+    @pytest.mark.parametrize(
+        "e, multiplies, squares",
+        [
+            pytest.param(e, multiplies, squares, id=f"{e}-{multiplies + squares}")
+            for e, multiplies, squares in [(0, 0, 0), (1, 0, 0), (2, 0, 1), (8, 0, 3), (13, 2, 3), (255, 7, 7), (510, 7, 8)]
+        ],
+    )
+    def test_pow_multiply_count(self, monkeypatch, e, multiplies, squares):
         # Square-and-multiply from the lowest set bit to the top bit:
-        # popcount(e) - 1 products plus bit_length(e) - 1 squarings.
+        # popcount(e) - 1 multiplies and bit_length(e) - 1 squares.
         # e = 510 = q - 2 is the inversion of GF(512).
         ctx = field_make(2, 9)
         expected = ctx.pow(3, e)
         calls = []
-        mul = FieldCtx.mul
-        monkeypatch.setattr(FieldCtx, "mul", lambda ctx, a, b: calls.append(1) or mul(ctx, a, b))
+        mul, square = FieldCtx.mul, FieldCtx.square
+        monkeypatch.setattr(FieldCtx, "mul", lambda ctx, a, b: calls.append("mul") or mul(ctx, a, b))
+        monkeypatch.setattr(FieldCtx, "square", lambda ctx, a: calls.append("square") or square(ctx, a))
         assert ctx.pow(3, e) == expected
-        assert len(calls) == multiplies
+        assert (calls.count("mul"), calls.count("square")) == (multiplies, squares)
+
+    @pytest.mark.parametrize("q", [4, 8, 16, 32, 64, 128, 256, 512, 1024, 9, 27, 81, 243, 729, 25, 125, 49, 343])
+    def test_square_and_inverse_every_element(self, q):
+        ctx = field_from_size(q)
+        assert ctx.square(0) == 0
+        for a in range(1, q):
+            assert ctx.square(a) == ctx.mul(a, a), a
+            assert ctx.mul(a, ctx.inv(a)) == 1, a
+
+    @pytest.mark.parametrize("p, m", [(2, 20), (3, 12)])
+    def test_square_and_inverse_random_elements(self, p, m):
+        ctx = field_make(p, m)
+        rng = random.Random(p * 100 + m)
+        for _ in range(300):
+            a = rng.randrange(1, ctx.q)
+            assert ctx.square(a) == ctx.mul(a, a), a
+            assert ctx.mul(a, ctx.inv(a)) == 1, a
 
 
 class TestPolynomials:
@@ -403,6 +429,17 @@ class TestMulFold:
         rep = (Polynomial(field, a) * Polynomial(field, b)) % Polynomial(field, modulus)
         expected = list(rep.coeffs) + [0] * (m - len(rep.coeffs))
         assert _mul_fold(a, b, _fold_pairs(modulus, p), m, p) == expected
+
+    @pytest.mark.parametrize("r, alpha", [(3, 0), (5, 0), (7, 2), (11, 0), (13, 5)])
+    @pytest.mark.parametrize("delta", [2, 3, 4, 5])
+    def test_square_matches_product_on_residue_rings(self, r, alpha, delta):
+        # The rings of construct-l1: F_r[x] modulo (x - alpha)^(delta-1).
+        modulus = ResidueCtx.linear_power(field_make(r), alpha, delta).modulus.coeffs
+        fold, d = _fold_pairs(modulus, r), delta - 1
+        rng = random.Random(r * 100 + delta)
+        for _ in range(200):
+            v = [rng.randrange(r) for _ in range(d)]
+            assert _square_fold(v, fold, d, r) == _mul_fold(v, v, fold, d, r), v
 
     def test_fold_pairs_skip_zero_terms(self):
         # x^4 + 2x + 3 over GF(5): x^4 = 3x + 2.
