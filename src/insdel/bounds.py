@@ -17,7 +17,7 @@ import time
 # exact-iq and counterexample, whose reports hold no Fraction, do not load it.
 
 from .errors import DomainError, ScaleCapExceeded
-from .lift import PAIR_CAP_ENV, pair_cap, verification_refusal
+from .lift import pair_cap, verification_refusal
 from .words import (
     INSDEL,
     Code,
@@ -200,34 +200,36 @@ def exact_iq(q: int, n: int, d: int, max_seconds: float | None = None):
     optimal code as witness.
 
     Vertices are the words of [q]^n in lexicographic order; edges join
-    pairs at distance >= d. The adjacency is built from one LCS row per
-    orbit of symbol renaming and reversal (``_insdel_graph``), and the
-    size is proven by branching on one vertex per orbit of the same group
-    (``_insdel_symmetry``). Branch-and-bound with a greedy-coloring upper
-    bound, deterministic throughout. ``max_seconds`` bounds the whole
-    run, the adjacency build and both phases of the clique search
-    together (``ScaleCapExceeded`` past it).
+    pairs at distance >= d. Two distinct words of one length are at
+    distance >= 2, and two that differ in one position at distance 2, so
+    the graph is complete exactly when d = 2: I_q(n, 2) = q^n, answered
+    with every word and no search. Otherwise the adjacency is built from
+    one LCS row per orbit of symbol renaming and reversal
+    (``_insdel_graph``), and the size is proven by branching on one vertex
+    per orbit of the same group (``_insdel_symmetry``). Branch-and-bound
+    with a greedy-coloring upper bound, deterministic throughout.
+    ``max_seconds`` bounds the whole run, the adjacency build and both
+    phases of the clique search together (``ScaleCapExceeded`` past it).
     """
     _check_even_d(q, n, d)
     # q >= 2, so q^n passes the cap once n passes its bit length; q^n is
     # formed only below that.
     if n > CLIQUE_VERTEX_CAP.bit_length() or q**n > CLIQUE_VERTEX_CAP:
         raise ScaleCapExceeded(f"q^n = {q}^{n} vertices exceed the cap {CLIQUE_VERTEX_CAP}")
-    deadline = None if max_seconds is None else time.monotonic() + max_seconds
     words = list(itertools.product(range(q), repeat=n))
-    adj, reps = _insdel_graph(words, q, n, d, deadline)
-    size, clique = _first_max_clique(adj, deadline, _insdel_symmetry(words, q, reps))
+    if d == 2:
+        return len(words), Code(q, n, tuple([Word(q, w) for w in words]))
+    deadline = None if max_seconds is None else time.monotonic() + max_seconds
+    adj = _insdel_graph(words, q, n, d, deadline)
+    size, clique = _first_max_clique(adj, deadline, _insdel_symmetry(words, q))
     code = Code(q, n, tuple([Word(q, words[v]) for v in sorted(clique)]))
     return size, code
 
 
-def _insdel_graph(
-    words: list, q: int, n: int, d: int, deadline: float | None
-) -> tuple[list[int], list[int]]:
-    """``(adj, reps)``: adjacency bitsets joining the pairs of ``words``,
-    all of [q]^n in lexicographic order, at insdel distance >= d (even),
-    that is with LCS <= n - d // 2, and for each word the index of its
-    orbit's representative.
+def _insdel_graph(words: list, q: int, n: int, d: int, deadline: float | None) -> list[int]:
+    """Adjacency bitsets joining the pairs of ``words``, all of [q]^n in
+    lexicographic order, at insdel distance >= d (even), that is with
+    LCS <= n - d // 2.
 
     The LCS length, and so the graph, is unchanged when both words are
     renamed by one permutation of the symbols or both are reversed: S_q x
@@ -243,11 +245,10 @@ def _insdel_graph(
     most = n - d // 2
     index = {w: i for i, w in enumerate(words)}
     adj = [0] * len(words)
-    reps = [0] * len(words)
     moved: dict = {}
     for i, w in enumerate(words):
         rep, rev, firsts = _orbit_rep(w)
-        r = reps[i] = index[rep]
+        r = index[rep]
         if r == i:
             if deadline is not None and time.monotonic() > deadline:
                 raise ScaleCapExceeded("adjacency build exceeded the time budget")
@@ -268,7 +269,7 @@ def _insdel_graph(
             if deadline is not None and time.monotonic() > deadline:
                 raise ScaleCapExceeded("adjacency build exceeded the time budget")
             adj[i] = permute(adj[r])
-    return adj, reps
+    return adj
 
 
 def _orbit_rep(w) -> tuple:
@@ -317,28 +318,21 @@ def _renaming_order(firsts: tuple, q: int, n: int, ints: list[int]) -> list[int]
     return order
 
 
-def _insdel_symmetry(words: list, q: int, reps: list[int]):
+def _insdel_symmetry(words: list, q: int):
     """``orbit(fixed, v)``: the indices of the words in the orbit of
     words[v] under the pointwise stabilizer of the words ``fixed`` (a
     list of indices) in S_q x reversal, for ``_first_max_clique``.
 
-    With nothing fixed the orbit is the one ``_insdel_graph`` found: the
-    words sharing v's representative in ``reps``. Otherwise it is
-    generated from the words: the renamings of w = words[v] that the
-    stabilizer holds (``_stabilizer``), and with tau those of tau applied
-    to reversed w. The group itself is never listed. A search asks for
-    orbits under one fixed list many times in a row, so the stabilizer is
-    kept per length of that list.
+    The orbit is generated from the words: the renamings of w = words[v]
+    that the stabilizer holds (``_stabilizer``), and with tau those of tau
+    applied to reversed w. With nothing fixed that is every renaming of w
+    and of reversed w, the whole group's orbit. The group itself is never
+    listed. A search asks for orbits under one fixed list many times in a
+    row, so the stabilizer is kept per length of that list.
     """
-    root: dict = {}
     stabilizers: dict = {}
 
     def orbit(fixed: list[int], v: int) -> list[int]:
-        if not fixed:
-            if not root:
-                for i, r in enumerate(reps):
-                    root.setdefault(r, []).append(i)
-            return root[reps[v]]
         kept = stabilizers.get(len(fixed))
         if kept is None or kept[0] != fixed:
             kept = stabilizers[len(fixed)] = fixed, _stabilizer([words[c] for c in fixed], q)
@@ -407,22 +401,17 @@ def _trivial_group(fixed: list[int], v: int) -> list[int]:
 def _first_max_clique(adj: list[int], deadline: float | None, orbit=_trivial_group):
     """The first maximum clique that ``_max_clique`` meets on ``adj``.
 
-    A complete graph is answered from its rows: each vertex is a colour
-    class of its own, so the search takes the highest candidate at every
-    level and returns all m vertices, m - 1 down to 0.
-
-    Otherwise the size omega is proven by ``_omega`` and the search on
-    the original labels is replayed, without the group, with the
-    incumbent seeded to omega - 1, and stops at the first omega-clique.
-    Before that clique the unseeded search's incumbent is below omega, so
-    the replay prunes at least as much and visits a subset of its nodes
-    in the same order; every node on the path to the clique has a
-    colouring bound >= omega and survives. So the replay returns the
-    clique the unseeded search would, whatever group proved omega.
+    The size omega is proven by ``_omega`` and the search on the original
+    labels is replayed, without the group, with the incumbent seeded to
+    omega - 1, and stops at the first omega-clique. Before that clique the
+    unseeded search's incumbent is below omega, so the replay prunes at
+    least as much and visits a subset of its nodes in the same order;
+    every node on the path to the clique has a colouring bound >= omega
+    and survives. So the replay returns the clique the unseeded search
+    would, whatever group proved omega.
     """
-    full = (1 << len(adj)) - 1
-    if all(row == full ^ 1 << v for v, row in enumerate(adj)):
-        return len(adj), list(range(len(adj) - 1, -1, -1))
+    if not adj:
+        return 0, []
     omega = _omega(adj, deadline, orbit)
     return _max_clique(adj, deadline, omega - 1, omega)
 
@@ -611,21 +600,15 @@ def counterexample_code(q: int, n: int) -> tuple[Code, dict]:
     """The q constant words plus one all-distinct word: size q+1 at insdel
     distance 2n-2, beating the q^(n-d/2) power bound.
 
-    The distance is verified over all pairs, so q(q+1)/2 must not pass
-    ``pair_cap()``, and their LCS cells, n^2 a pair, must fit the budget of
-    ``verification_refusal``. At n <= 3 the pair cap alone decides; q = 4471,
-    n = 3, the largest q it admits, verifies in under a second."""
+    The distance is verified over all q(q+1)/2 pairs, so they must fit
+    ``verification_refusal``: the pair cap, and n^2 LCS cells a pair. At
+    n <= 3 the pair cap alone decides; q = 4471, n = 3, the largest q it
+    admits, verifies in under a second."""
     if n > q:
         raise DomainError(f"need n <= q, got n={n}, q={q}")
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    cap = pair_cap()
-    pairs = q * (q + 1) // 2
-    if pairs > cap:
-        raise ScaleCapExceeded(
-            f"the q+1 words for q={q} give q(q+1)/2 verification pairs, past the cap {cap} ({PAIR_CAP_ENV})"
-        )
-    refusal = verification_refusal(pairs, n, cap)
+    refusal = verification_refusal(q * (q + 1) // 2, n, pair_cap())
     if refusal:
         raise ScaleCapExceeded(refusal)
     members = [Word(q, (a,) * n) for a in range(q)]

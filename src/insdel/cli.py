@@ -33,7 +33,6 @@ _CALLEES = {
     "construct_l1": "cw_l1.construct_l1",
     "field_from_size": "gf.field_from_size",
     "lift": "lift.lift",
-    "PAIR_CAP_ENV": "lift.PAIR_CAP_ENV",
     "pair_cap": "lift.pair_cap",
     "verification_refusal": "lift.verification_refusal",
     "RsCode": "rs.RsCode",
@@ -166,13 +165,9 @@ def _cmd_dist(a):
 def _cmd_code_distance(a):
     code = codefile.load(a.infile)
     metric = a.metric or (L1 if code.kind == CWL1 else INSDEL)
-    cap = pair_cap()
     pairs = len(code) * (len(code) - 1) // 2
-    if pairs > cap:
-        raise ScaleCapExceeded(
-            f"{len(code)} members give {pairs} pairs, past the cap {cap} ({PAIR_CAP_ENV})"
-        )
-    refusal = verification_refusal(pairs, code.n, cap) if metric == INSDEL else None
+    # HAMMING and L1 run no LCS, so only the pair cap applies to them.
+    refusal = verification_refusal(pairs, code.n if metric == INSDEL else 0, pair_cap())
     if refusal:
         raise ScaleCapExceeded(refusal)
     d, witness = code_min_distance(code, metric)

@@ -32,9 +32,9 @@ def verification_refusal(pairs: int, n: int, cap: int) -> str | None:
     """Why a pairwise LCS verification of ``pairs`` pairs of length-n words
     does not fit, or None when it does: at most ``cap`` pairs, and at most
     CELLS_PER_PAIR LCS cells for each of them, n^2 a pair. At n <= 3 the
-    pair cap alone decides."""
+    pair cap alone decides, so a sweep that runs no LCS passes n = 0."""
     if pairs > cap:
-        return f"{pairs} pairs exceed the verification cap"
+        return f"{pairs} verification pairs exceed the cap {cap} ({PAIR_CAP_ENV})"
     if pairs * n * n > cap * CELLS_PER_PAIR:
         return (
             f"{pairs} verification pairs of length-{n} words take {pairs * n * n} LCS cells, past the"
@@ -43,7 +43,7 @@ def verification_refusal(pairs: int, n: int, cap: int) -> str | None:
     return None
 
 
-def lift(code: Code, max_pairs: int | None = None) -> tuple[Code, dict]:
+def lift(code: Code) -> tuple[Code, dict]:
     """Apply the sorted-word map memberwise.
 
     The map is injective and distance-preserving (L1 in, insdel out), so
@@ -55,7 +55,7 @@ def lift(code: Code, max_pairs: int | None = None) -> tuple[Code, dict]:
     """
     if code.kind != CWL1:
         raise DomainError("lift expects a CWL1 code")
-    cap = pair_cap() if max_pairs is None else max_pairs
+    cap = pair_cap()
     if len(code) * code.n > SYMBOL_CAP:
         raise ScaleCapExceeded(
             f"{len(code)} lifted words of length {code.n} exceed the cap of {SYMBOL_CAP} symbols"

@@ -307,6 +307,11 @@ def _single_phase_clique(adj):
     return best_size, best_clique
 
 
+def _complete_graph(m):
+    """Adjacency bitsets of the complete graph on m vertices."""
+    return [((1 << m) - 1) ^ 1 << v for v in range(m)]
+
+
 @st.composite
 def random_graphs(draw):
     n = draw(st.integers(0, 40))
@@ -337,23 +342,26 @@ class TestTwoPhaseClique:
         assert bounds._first_max_clique(adj, None) == _single_phase_clique(adj)
 
     @pytest.mark.parametrize("m", range(1, 65))
-    def test_complete_graph_answered_as_searched(self, monkeypatch, m):
-        adj = [((1 << m) - 1) ^ 1 << v for v in range(m)]
+    def test_complete_graph_answered_as_searched(self, m):
+        adj = _complete_graph(m)
         omega = bounds._omega(adj, None)
         searched = bounds._max_clique(adj, None, omega - 1, omega)
         assert searched == _single_phase_clique(adj) == (m, list(range(m - 1, -1, -1)))
-        monkeypatch.setattr(bounds, "_max_clique", None)
         assert bounds._first_max_clique(adj, None) == searched
 
     def test_complete_insdel_graph_skips_the_search(self, monkeypatch):
-        # d = 2 joins every pair of distinct words. A clique search on this
-        # graph takes about 28 s; the adjacency build alone about 1 s on a
-        # shared 2-vCPU Xeon.
+        # d = 2 joins every pair of distinct words, so exact_iq answers it
+        # from q and n, without a graph or a search, up to the vertex cap.
+        monkeypatch.setattr(bounds, "_insdel_graph", None)
         monkeypatch.setattr(bounds, "_max_clique", None)
-        start = time.monotonic()
-        size, code = exact_iq(64, 2, 2)
-        assert time.monotonic() - start < 10
-        assert size == 4096 and code.members == tuple(all_words(64, 2))
+        for q, n in ((2, 12), (64, 2), (4096, 1), (16, 3)):
+            start = time.monotonic()
+            size, code = exact_iq(q, n, 2)
+            assert time.monotonic() - start < 0.1, (q, n)
+            assert size == q**n and code.members == tuple(all_words(q, n))
+        for q, n in ((2, 13), (4097, 1)):
+            with pytest.raises(ScaleCapExceeded):
+                exact_iq(q, n, 2)
 
     def test_exact_iq_witness_unchanged(self, monkeypatch):
         graphs = []
@@ -375,7 +383,8 @@ class TestTwoPhaseClique:
         assert set(SWEEP_INSTANCES) <= set(instances)
         for q, n, d in instances:
             size, code = exact_iq(q, n, d)
-            ref_size, ref_clique = _single_phase_clique(graphs.pop())
+            # d = 2 is answered without a graph; its graph is complete.
+            ref_size, ref_clique = _single_phase_clique(graphs.pop() if d > 2 else _complete_graph(q**n))
             words = list(all_words(q, n))
             assert size == ref_size
             assert code.members == tuple(words[v] for v in sorted(ref_clique))
@@ -438,13 +447,13 @@ class TestInsdelGraph:
             symbols = [w.symbols for w in words]
             for d in range(2, 2 * n + 1, 2):
                 want = _graph_from(words, lambda u, v: dist[u, v] >= d)
-                assert bounds._insdel_graph(symbols, q, n, d, None)[0] == want, (q, n, d)
+                assert bounds._insdel_graph(symbols, q, n, d, None) == want, (q, n, d)
 
     @pytest.mark.parametrize("q, n, d", SWEEP_INSTANCES + ORBIT_INSTANCES)
     def test_matches_pairwise_lcs(self, q, n, d):
         words = list(itertools.product(range(q), repeat=n))
         want = _graph_from(words, lambda a, b: 2 * (n - lcs_length_raw(a, b)) >= d)
-        assert bounds._insdel_graph(words, q, n, d, None)[0] == want
+        assert bounds._insdel_graph(words, q, n, d, None) == want
 
     @given(word_and_symmetry())
     @settings(max_examples=300, deadline=None)
@@ -548,19 +557,17 @@ class TestOrbitalProof:
     @pytest.mark.parametrize("q, n, d", PROOF_INSTANCES)
     def test_symmetry_keeps_omega(self, q, n, d):
         words = list(itertools.product(range(q), repeat=n))
-        adj, reps = bounds._insdel_graph(words, q, n, d, None)
-        symmetry = bounds._insdel_symmetry(words, q, reps)
+        adj = bounds._insdel_graph(words, q, n, d, None)
+        symmetry = bounds._insdel_symmetry(words, q)
         assert bounds._omega(adj, None, symmetry) == bounds._omega(adj, None)
 
     @given(fixed_words_and_word())
     @settings(max_examples=300, deadline=None)
     def test_stabilizer_orbit_matches_brute_force(self, case):
-        # With nothing fixed the orbit comes from the representatives of
-        # _insdel_graph, otherwise it is generated from the words.
+        # Empty ``fixed`` lists check the root's orbits, under the whole group.
         q, n, fixed, v = case
         words = list(itertools.product(range(q), repeat=n))
-        reps = bounds._insdel_graph(words, q, n, 2 * n, None)[1]
-        orbit = bounds._insdel_symmetry(words, q, reps)(fixed, v)
+        orbit = bounds._insdel_symmetry(words, q)(fixed, v)
         assert sorted(orbit) == _brute_orbit(words, q, fixed, v)
         assert len(set(orbit)) == len(orbit)
 
@@ -572,7 +579,7 @@ class TestOrbitalProof:
         if (q, n, d) != (4, 4, 4):
             # The two-phase search without the group gives the same witness.
             words = list(itertools.product(range(q), repeat=n))
-            adj, _ = bounds._insdel_graph(words, q, n, d, None)
+            adj = bounds._insdel_graph(words, q, n, d, None)
             _, clique = bounds._first_max_clique(adj, None)
             assert code.members == tuple(Word(q, words[v]) for v in sorted(clique))
 

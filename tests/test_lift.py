@@ -48,8 +48,9 @@ class TestLift:
             words.add(psi(a))
         assert len(words) == len(comps)
 
-    def test_cap_skips_verification(self):
-        lifted, report = lift(small_cwl1_code(), max_pairs=0)
+    def test_cap_skips_verification(self, monkeypatch):
+        monkeypatch.setenv("INSDEL_MAX_PAIRS", "0")
+        lifted, report = lift(small_cwl1_code())
         assert report["verified"] is False
         assert report["min_insdel"] is None
         assert report["note"] == "inherited, unverified"
@@ -68,19 +69,21 @@ class TestLift:
             "note": "inherited, unverified",
         }
 
-    def test_cell_budget_boundary(self):
+    def test_cell_budget_boundary(self, monkeypatch):
         # Two words of length 3 take 9 cells, the budget of one pair; two of
         # length 4 take 16, past one pair's budget and inside two pairs'.
-        assert lift(small_cwl1_code(), max_pairs=1)[1]["verified"] is True
+        monkeypatch.setenv("INSDEL_MAX_PAIRS", "1")
+        assert lift(small_cwl1_code())[1]["verified"] is True
         length_four = Code(2, 4, (Composition(2, (4, 0)), Composition(2, (1, 3))), kind=CWL1)
-        assert lift(length_four, max_pairs=1)[1]["verified"] is False
-        assert lift(length_four, max_pairs=2)[1]["min_insdel"] == 6
+        assert lift(length_four)[1]["verified"] is False
+        monkeypatch.setenv("INSDEL_MAX_PAIRS", "2")
+        assert lift(length_four)[1]["min_insdel"] == 6
         assert verification_refusal(1, 4, 2) is None
         assert verification_refusal(1, 4, 1) == (
             "1 verification pairs of length-4 words take 16 LCS cells, past the budget 9"
             " (9 for each of the 1 pairs of INSDEL_MAX_PAIRS)"
         )
-        assert verification_refusal(2, 1, 1) == "2 pairs exceed the verification cap"
+        assert verification_refusal(2, 1, 1) == "2 verification pairs exceed the cap 1 (INSDEL_MAX_PAIRS)"
 
     def test_fewer_than_two_members_unverified(self):
         for members in ((), (Composition(2, (3, 0)),)):
