@@ -22,12 +22,11 @@ from .gf import (
     _is_irreducible_modp,
     _mul_fold,
     _square_fold,
-    _square_multiply,
     field_make,
     is_prime,
     unit_group_size,
 )
-from .lift import pair_cap
+from .lift import pair_cap, verification_refusal
 from .value import Value, _set
 from .words import CWL1, L1, Code, Composition, code_min_distance, compositions_colex
 
@@ -135,31 +134,35 @@ class L1ConstructionSpec(Value):
         return -(-total // self.unit_count())
 
 
-def _unit_map(spec: L1ConstructionSpec, rctx: ResidueCtx):
+def _unit_map(spec: L1ConstructionSpec, rctx: ResidueCtx, top: int):
     """counts -> coefficients of prod_i (x - alpha_i)^(counts_i) in rctx,
-    the ring of spec, low-first; the q linear factors are reduced once,
-    here. Each factor is a unit, so by Lagrange its power depends only on
-    the count modulo the order of the unit group."""
+    the ring of spec, low-first. Each factor is a unit, so by Lagrange its
+    power depends only on the count modulo the order of the unit group.
+    The q linear factors are reduced once, here, and squared once into
+    their powers f^(2^k) up to ``top``, which must cover every reduced
+    count: q * (bit_length(top) - 1) squares. A call then multiplies the
+    powers at the set bits of its reduced counts, popcount - 1 products
+    in all, and squares nothing."""
     fctx = spec.field_ctx()
-    factors = [rctx.reduce(Polynomial(fctx, (fctx.neg(ai), 1))).coeffs for ai in spec.alphas]
     order = spec.unit_count()
-    one = rctx.one().coeffs
     d, p = rctx.degree, spec.r
     fold = _fold_pairs(rctx.modulus.coeffs, p)
-
-    def mul(a, b):
-        return _mul_fold(a, b, fold, d, p)
-
-    def square(a):
-        return _square_fold(a, fold, d, p)
+    one = rctx.one().coeffs
+    squares = []
+    for ai in spec.alphas:
+        row = [rctx.reduce(Polynomial(fctx, (fctx.neg(ai), 1))).coeffs]
+        for _ in range(top.bit_length() - 1):
+            row.append(_square_fold(row[-1], fold, d, p))
+        squares.append(row)
 
     def product(counts):
         result = None
-        for f, count in zip(factors, counts):
+        for row, count in zip(squares, counts):
             e = count % order
-            if e:
-                power = _square_multiply(f, e, mul, square)
-                result = power if result is None else mul(result, power)
+            for power in row:
+                if e & 1:
+                    result = power if result is None else _mul_fold(result, power, fold, d, p)
+                e >>= 1
         return one if result is None else result
 
     return product
@@ -171,7 +174,9 @@ def pi_map(a: Composition, spec: L1ConstructionSpec) -> UnitResidue:
     if a.q != spec.q or a.weight != spec.n:
         raise DomainError(f"composition {a.counts} does not match the construction parameters")
     rctx = spec.residue_ctx()
-    return UnitResidue(rctx, tuple(_unit_map(spec, rctx)(a.counts)))
+    order = spec.unit_count()
+    top = max([c % order for c in a.counts])
+    return UnitResidue(rctx, tuple(_unit_map(spec, rctx, top)(a.counts)))
 
 
 def _composition_count(n: int, q: int, cap: int) -> int | None:
@@ -197,9 +202,12 @@ def construct_l1(spec: L1ConstructionSpec) -> tuple[Code, dict]:
     ``pair_cap()``; past it ``verified_min_l1`` is None and a note says the
     distance 2*delta is guaranteed but unverified.
 
-    The work is checked before it starts: every composition is one ring
-    product, whose unit multiplies cost about (delta-1)^2 steps each, so
-    the compositions times (delta-1)^2 must fit ENUMERATION_CAP.
+    The work is checked before it starts. Each of the q factors is squared
+    bit_length(t) - 1 times, t = min(n, order - 1) the largest reduced
+    count; then a composition costs one ring product per set bit of its
+    reduced counts, less one, and no squares. Each product takes about
+    (delta-1)^2 steps, and the compositions times (delta-1)^2 must fit
+    ENUMERATION_CAP, which bounds the squares table's work as well.
     """
     cap = pair_cap()
     count = _composition_count(spec.n, spec.q, ENUMERATION_CAP)
@@ -215,7 +223,7 @@ def construct_l1(spec: L1ConstructionSpec) -> tuple[Code, dict]:
             f" delta={spec.delta} exceed the enumeration cap {ENUMERATION_CAP}"
         )
     rctx = spec.residue_ctx()
-    unit_of = _unit_map(spec, rctx)
+    unit_of = _unit_map(spec, rctx, min(spec.n, spec.unit_count() - 1))
     encode = rctx.encode
     buckets: dict[int, list[Composition]] = {}
     for comp in compositions_colex(spec.n, spec.q):
@@ -224,8 +232,9 @@ def construct_l1(spec: L1ConstructionSpec) -> tuple[Code, dict]:
     members = tuple(buckets[best_code])
     code = Code(spec.q, spec.n, members, kind=CWL1)
     npairs = len(members) * (len(members) - 1) // 2
+    refusal = verification_refusal(npairs, 0, cap)
     verified_min = None
-    if 0 < npairs <= cap:
+    if npairs and refusal is None:
         verified_min, _ = code_min_distance(code, L1)
     report = {
         "q": spec.q,
@@ -237,7 +246,7 @@ def construct_l1(spec: L1ConstructionSpec) -> tuple[Code, dict]:
         "guaranteed_lower_bound": spec.guaranteed_lower_bound(),
         "verified_min_l1": verified_min,
     }
-    if npairs > cap:
+    if refusal:
         report["note"] = f"min L1 >= {2 * spec.delta} guaranteed, unverified"
     return code, report
 

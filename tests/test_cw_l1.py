@@ -268,7 +268,7 @@ class TestAgainstPolynomialReference:
         assert report == expected
         assert code.members == members
 
-    @pytest.mark.parametrize("spec", REFERENCE_GRID[-2:], ids=_spec_id)
+    @pytest.mark.parametrize("spec", REFERENCE_GRID, ids=_spec_id)
     def test_pi_map_matches_bucket_codes(self, spec):
         code, report = construct_l1(spec)
         for comp in code.members:
@@ -285,6 +285,33 @@ def test_bucketing_builds_no_unit_residue_per_composition(monkeypatch):
         # The q reduced linear factors and the ring's one, for 455 and 210
         # compositions.
         assert len(built) == spec.q + 1
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        L1ConstructionSpec(q=2, n=13, delta=3),
+        L1ConstructionSpec(q=4, n=12, delta=3, alpha=2),
+        REFERENCE_GRID[-1],
+    ],
+    ids=_spec_id,
+)
+def test_bucketing_squares_each_factor_once(monkeypatch, spec):
+    # Each factor is squared once per bit of the largest reduced count;
+    # then each composition multiplies one tabled power per set bit of its
+    # reduced counts, after the first, and squares nothing.
+    calls = []
+    for name in ("_mul_fold", "_square_fold"):
+        kernel = getattr(cw_l1, name)
+        monkeypatch.setattr(cw_l1, name, lambda *args, kernel=kernel: calls.append(1) or kernel(*args))
+    construct_l1(spec)
+    order = spec.unit_count()
+    per_composition = sum(
+        max(sum(bin(c % order).count("1") for c in comp.counts) - 1, 0)
+        for comp in compositions_colex(spec.n, spec.q)
+    )
+    table = spec.q * (min(spec.n, order - 1).bit_length() - 1)
+    assert len(calls) <= table + per_composition
 
 
 class TestExpertModulus:
