@@ -148,11 +148,30 @@ class FieldCtx:
         return code
 
     def inv(self, a: int) -> int:
+        """The inverse a^(q-2) of a nonzero a. Over GF(p^m), m > 1 and p
+        odd, the power by square-and-multiply. Over GF(2^m), m > 1, the
+        Itoh-Tsujii chain on b_k = a^(2^k - 1): from b_1 = a, each bit of
+        m - 1 below the top doubles k, b_2k = b_k^(2^k) b_k, and a set bit
+        then adds one, b_(k+1) = b_k^2 a; a^(q-2) = b_(m-1)^2. That is
+        floor(log2(m-1)) + popcount(m-1) - 1 multiplies and m - 1 squares,
+        where the power takes m - 2 multiplies and the same squares."""
         if a == 0:
             raise DomainError("zero has no inverse")
         if self.m == 1:
             return pow(a, self.p - 2, self.p)
-        return self.pow(a, self.q - 2)
+        if self.p > 2:
+            return self.pow(a, self.q - 2)
+        mul, square = self.mul, self.square
+        top = self.m - 1
+        beta = a
+        for shift in range(top.bit_length() - 2, -1, -1):
+            x = beta
+            for _ in range(top >> shift + 1):  # k, the chain's index so far
+                x = square(x)
+            beta = mul(x, beta)
+            if top >> shift & 1:
+                beta = mul(square(beta), a)
+        return square(beta)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))

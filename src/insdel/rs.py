@@ -116,11 +116,14 @@ def affine_fixed_points(s: AffineMap):
 def _weight(ctx: FieldCtx) -> int:
     """Prime-field steps that one step of the criterion or of the greedy
     over ``ctx`` weighs. Over GF(p^e), e > 1, a multiply is a product of
-    degree-e polynomials and an inversion a power of one, so a step
-    weighs 2e*bitlength(q). That is an upper bound: measured from GF(243)
-    to GF(2^20) and GF(1021^2) in two runs, a criterion step costs 3.7
-    to 7.8 times less than its weight. ``witness_steps``, mostly
-    multiplies, weighs multiplies and inversions apart."""
+    degree-e polynomials and an inversion at most 2 bitlength(q) of them
+    (``FieldCtx.inv``: square-and-multiply for odd p; for p = 2 the
+    Itoh-Tsujii chain, floor(log2(e-1)) + popcount(e-1) - 1 multiplies
+    and e - 1 squares), so a step weighs 2e*bitlength(q). That is an
+    upper bound: measured before the chain, from GF(243) to GF(2^20) and
+    GF(1021^2) in two runs, a criterion step costs 3.7 to 7.8 times less
+    than its weight. ``witness_steps``, mostly multiplies, weighs
+    multiplies and inversions apart."""
     return 1 if ctx.m == 1 else 2 * ctx.m * ctx.q.bit_length()
 
 
@@ -142,7 +145,10 @@ def _mul_weight(ctx: FieldCtx) -> int:
 def _inv_weight(ctx: FieldCtx) -> int:
     """Prime-field steps that one inversion over ``ctx`` weighs in
     ``witness_steps``: over GF(p^e), e > 1, the power a^(q-2), at most
-    2 bitlength(q) multiplies."""
+    2 bitlength(q) multiplies. For odd p it is square-and-multiply; for
+    p = 2 the Itoh-Tsujii chain of ``FieldCtx.inv`` takes
+    floor(log2(e-1)) + popcount(e-1) - 1 multiplies and e - 1 squares,
+    fewer products than that."""
     return 1 if ctx.m == 1 else 2 * ctx.q.bit_length() * _mul_weight(ctx)
 
 

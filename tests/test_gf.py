@@ -162,7 +162,8 @@ class TestExtensionKernel:
     def test_pow_multiply_count(self, monkeypatch, e, multiplies, squares):
         # Square-and-multiply from the lowest set bit to the top bit:
         # popcount(e) - 1 multiplies and bit_length(e) - 1 squares.
-        # e = 510 = q - 2 is the inversion of GF(512).
+        # e = 510 = q - 2 is the inverse's exponent in GF(512), which
+        # ``inv`` reaches by the shorter Itoh-Tsujii chain instead.
         ctx = field_make(2, 9)
         expected = ctx.pow(3, e)
         calls = []
@@ -171,6 +172,41 @@ class TestExtensionKernel:
         monkeypatch.setattr(FieldCtx, "square", lambda ctx, a: calls.append("square") or square(ctx, a))
         assert ctx.pow(3, e) == expected
         assert (calls.count("mul"), calls.count("square")) == (multiplies, squares)
+
+    @pytest.mark.parametrize("m", range(2, 21))
+    def test_inverse_chain_count(self, monkeypatch, m):
+        # Itoh-Tsujii over GF(2^m): floor(log2(m-1)) + popcount(m-1) - 1
+        # multiplies and m - 1 squares, where the power a^(q-2) takes
+        # m - 2 multiplies and the same squares.
+        ctx = field_make(2, m)
+        a = ctx.q - 1
+        expected = ctx.pow(a, ctx.q - 2)
+        calls = []
+        mul, square = FieldCtx.mul, FieldCtx.square
+        monkeypatch.setattr(FieldCtx, "mul", lambda ctx, a, b: calls.append("mul") or mul(ctx, a, b))
+        monkeypatch.setattr(FieldCtx, "square", lambda ctx, a: calls.append("square") or square(ctx, a))
+        assert ctx.inv(a) == expected
+        top = m - 1
+        multiplies = top.bit_length() - 1 + bin(top).count("1") - 1
+        assert (calls.count("mul"), calls.count("square")) == (multiplies, m - 1)
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_inverse_chain_is_the_power_every_element(self, m):
+        ctx = field_make(2, m)
+        for a in range(1, ctx.q):
+            assert ctx.inv(a) == ctx.pow(a, ctx.q - 2), a
+        with pytest.raises(DomainError):
+            ctx.inv(0)
+
+    @pytest.mark.parametrize("m", [16, 20])
+    def test_inverse_chain_is_the_power_random_elements(self, m):
+        ctx = field_make(2, m)
+        rng = random.Random(m)
+        for _ in range(300):
+            a = rng.randrange(1, ctx.q)
+            assert ctx.inv(a) == ctx.pow(a, ctx.q - 2), a
+        with pytest.raises(DomainError):
+            ctx.inv(0)
 
     @pytest.mark.parametrize("q", [4, 8, 16, 32, 64, 128, 256, 512, 1024, 9, 27, 81, 243, 729, 25, 125, 49, 343])
     def test_square_and_inverse_every_element(self, q):

@@ -502,6 +502,43 @@ class TestCriterionCap:
             with pytest.raises(ScaleCapExceeded, match="past the cap 150000"):
                 check_rs2_criterion(code)
 
+    @pytest.mark.parametrize("m", range(2, 21))
+    def test_inversion_chain_within_its_weight(self, monkeypatch, m):
+        # An inversion over GF(2^m) takes the Itoh-Tsujii chain's products,
+        # multiplies and squares, within the 2 bitlength(q) multiplies that
+        # _inv_weight charges (and _weight's 2m bitlength(q) steps).
+        ctx = field_make(2, m)
+        calls = []
+        mul, square = FieldCtx.mul, FieldCtx.square
+        monkeypatch.setattr(FieldCtx, "mul", lambda ctx, a, b: calls.append(1) or mul(ctx, a, b))
+        monkeypatch.setattr(FieldCtx, "square", lambda ctx, a: calls.append(1) or square(ctx, a))
+        ctx.inv(ctx.q - 1)
+        assert len(calls) <= 2 * ctx.q.bit_length()
+        assert rs._inv_weight(ctx) == 2 * ctx.q.bit_length() * rs._mul_weight(ctx)
+
+    # q, _weight, _mul_weight, _inv_weight, criterion_steps at n = 4, 5, 6,
+    # construct_rs2_steps at n = 4, 5, 6, witness_steps at (n, k) = (6, 3),
+    # (12, 4), (40, 6): the values every cap was set against.
+    @pytest.mark.parametrize(
+        "q, weight, mul_weight, inv_weight, criterion, construct, witness",
+        [
+            (4, 12, 9, 54, [72, 720, 3480], [492, 2772, 10368], [1554, 4629, 20560]),
+            (16, 40, 20, 200, [240, 2400, 11600], [1640, 9240, 34560], [3926, 11152, 47560]),
+            (1024, 220, 65, 1430, [1320, 13200, 63800], [9020, 50820, 190080], [17426, 44797, 173200]),
+            (2**20, 840, 180, 7560, [5040, 50400, 243600], [34440, 194040, 725760], [69846, 163632, 565960]),
+            (243, 80, 39, 624, [480, 4800, 23200], [3280, 18480, 69120], [9054, 24309, 98320]),
+            (3**12, 480, 104, 4160, [2880, 28800, 139200], [19680, 110880, 414720], [39110, 92260, 322024]),
+            (1021**2, 80, 19, 760, [480, 4800, 23200], [3280, 18480, 69120], [7150, 16865, 58864]),
+            (1048573, 1, 1, 1, [6, 60, 290], [41, 231, 864], [148, 470, 2200]),
+        ],
+    )
+    def test_step_weights_unchanged(self, q, weight, mul_weight, inv_weight, criterion, construct, witness):
+        ctx = field_from_size(q)
+        assert (rs._weight(ctx), rs._mul_weight(ctx), rs._inv_weight(ctx)) == (weight, mul_weight, inv_weight)
+        assert [criterion_steps(n, ctx) for n in (4, 5, 6)] == criterion
+        assert [construct_rs2_steps(n, ctx) for n in (4, 5, 6)] == construct
+        assert [witness_steps(n, k, ctx) for n, k in ((6, 3), (12, 4), (40, 6))] == witness
+
     def test_domain_errors_come_first(self):
         with pytest.raises(DomainError, match="criterion applies to k=2"):
             check_rs2_criterion(RsCode(field_make(1048573), tuple(range(40)), 3))
