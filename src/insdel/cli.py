@@ -58,23 +58,6 @@ def __getattr__(name: str):
     return value
 
 
-COMMANDS = (
-    "dist",
-    "code-distance",
-    "construct-l1",
-    "lift",
-    "construct-rs2",
-    "verify-rs2",
-    "witness-rs",
-    "exact-iq",
-    "bounds",
-    "counterexample",
-    "selftest",
-)
-
-USAGE = "usage: insdel {" + ",".join(COMMANDS) + "} [options]\n"
-
-
 def _thread_count(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         import argparse
@@ -507,6 +490,8 @@ _DISPATCH = {
     "counterexample": _cmd_counterexample,
     "selftest": _cmd_selftest,
 }
+COMMANDS = tuple(_DISPATCH)
+USAGE = "usage: insdel {" + ",".join(COMMANDS) + "} [options]\n"
 
 
 def _code_names(code) -> set[str]:

@@ -24,6 +24,7 @@ from .gf import (
     _square_fold,
     field_make,
     is_prime,
+    next_prime,
     unit_group_size,
 )
 from .lift import pair_cap, verification_refusal
@@ -35,10 +36,7 @@ ENUMERATION_CAP = 10**7
 
 def smallest_construction_prime(q: int) -> int:
     """Smallest prime in [q+1, 2(q+1)]; one always exists by Bertrand."""
-    for r in range(q + 1, 2 * (q + 1) + 1):
-        if is_prime(r):
-            return r
-    raise RuntimeError(f"no prime in [{q + 1}, {2 * (q + 1)}]")  # unreachable
+    return next_prime(q)
 
 
 class L1ConstructionSpec(Value):

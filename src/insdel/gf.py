@@ -66,7 +66,7 @@ class FieldCtx:
         self.q = p**m
         self.modulus = modulus  # monic, length m+1, low-first; () when m == 1
         self._fold = _fold_pairs(modulus, p)
-        self._squares = _frobenius_table(modulus) if p == 2 and m > 1 else ()
+        self._squares = _frobenius_table(self._fold, m) if p == 2 and m > 1 else ()
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
@@ -207,21 +207,17 @@ def _square_multiply(x, e: int, mul, square):
 
 def _fold_pairs(modulus, p: int) -> tuple[tuple[int, int], ...]:
     """The (i, -c_i mod p) pairs of a monic degree-m modulus's nonzero lower
-    terms c_i (low-first), x^m = sum of -c_i x^i, that ``_mul_fold`` uses."""
+    terms c_i (low-first), x^m = sum of -c_i x^i, that ``_reduce`` uses."""
     return tuple([(i, -c % p) for i, c in enumerate(modulus[:-1]) if c])
 
 
-def _mul_fold(a, b, fold, m: int, p: int) -> list[int]:
-    """a * b modulo a monic degree-m modulus over GF(p), given by its
-    ``_fold_pairs``: the schoolbook product of two low-first length-m
-    vectors; each term of degree >= m, highest first, is taken mod p and
-    folded down, and each kept coefficient is taken mod p once at the end."""
-    prod = [0] * (2 * m - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                prod[j] += x * y
-    for shift in range(m - 2, -1, -1):
+def _reduce(prod: list[int], fold, m: int, p: int) -> list[int]:
+    """``prod``, low-first and of any length, modulo a monic degree-m modulus
+    over GF(p) given by its ``_fold_pairs``: each term of degree >= m,
+    highest first, is taken mod p and folded down in place, and each kept
+    coefficient, the lowest m or all of a shorter ``prod``, is taken mod p
+    once at the end."""
+    for shift in range(len(prod) - m - 1, -1, -1):
         lead = prod[shift + m] % p
         if lead:
             for i, c in fold:
@@ -229,10 +225,21 @@ def _mul_fold(a, b, fold, m: int, p: int) -> list[int]:
     return [c % p for c in prod[:m]]
 
 
+def _mul_fold(a, b, fold, m: int, p: int) -> list[int]:
+    """a * b modulo a monic degree-m modulus over GF(p), given by its
+    ``_fold_pairs``: the schoolbook product of two low-first length-m
+    vectors, through ``_reduce``."""
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                prod[j] += x * y
+    return _reduce(prod, fold, m, p)
+
+
 def _square_fold(a, fold, m: int, p: int) -> list[int]:
     """``_mul_fold(a, a, fold, m, p)`` from the upper triangle of the
-    product: each cross term a_i a_j, i < j, is formed once and doubled,
-    then folded down the same way."""
+    product: each cross term a_i a_j, i < j, is formed once and doubled."""
     prod = [0] * (2 * m - 1)
     for i, x in enumerate(a):
         if x:
@@ -242,63 +249,29 @@ def _square_fold(a, fold, m: int, p: int) -> list[int]:
             for y in a[i + 1 :]:
                 j += 1
                 prod[j] += x * y
-    for shift in range(m - 2, -1, -1):
-        lead = prod[shift + m] % p
-        if lead:
-            for i, c in fold:
-                prod[shift + i] += lead * c
-    return [c % p for c in prod[:m]]
+    return _reduce(prod, fold, m, p)
 
 
-def _frobenius_table(modulus) -> tuple[int, ...]:
-    """Codes of x^(2i) mod f, i < m, for a monic binary modulus f of
-    degree m (low-first). Over GF(2) the square of a sum is the sum of
-    the squares, so a code's square is the XOR of the entries at its set
-    bits. Each entry is the last times x^2: two shifts, each clearing bit
-    m against f."""
-    m = len(modulus) - 1
-    f = 0
-    for c in reversed(modulus):
-        f = f << 1 | c
-    table = []
-    t = 1
-    for _ in range(m):
-        table.append(t)
-        for _ in range(2):
-            t <<= 1
-            if t >> m & 1:
-                t ^= f
-    return tuple(table)
-
-
-def _poly_mod_modp(a, mod, p):
-    """Remainder of a by a monic modulus, coefficients mod p, low-first."""
-    a = list(a)
-    dm = len(mod) - 1
-    while len(a) >= len(mod):
-        lead = a[-1]
-        if lead:
-            shift = len(a) - len(mod)
-            for i, c in enumerate(mod):
-                a[shift + i] = (a[shift + i] - lead * c) % p
-        a.pop()
-    a += [0] * (dm - len(a))
-    return a[:dm]
+def _frobenius_table(fold, m: int) -> tuple[int, ...]:
+    """Codes of x^(2i) mod f, i < m, for a monic binary modulus f of degree m
+    given by its ``_fold_pairs``. Over GF(2) a square of a sum is the sum of
+    the squares: a code's square is the XOR of the entries at its set bits."""
+    squares = [_reduce([0] * (2 * i) + [1], fold, m, 2) for i in range(m)]
+    return tuple([sum([c << j for j, c in enumerate(bits)]) for bits in squares])
 
 
 def _is_irreducible_modp(coeffs: tuple[int, ...], p: int) -> bool:
-    """Trial division by all monic polynomials of degree <= deg/2."""
-    deg = len(coeffs) - 1
-    for x in range(p):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * x + c) % p
-        if acc == 0:
-            return False
-    for d in range(2, deg // 2 + 1):
-        for lower in itertools.product(range(p), repeat=d):
-            divisor = list(lower) + [1]
-            if not any(_poly_mod_modp(coeffs, divisor, p)):
+    """Trial division by all monic polynomials of degree 1 ... deg/2, each
+    given by its fold pairs: as c runs over GF(p)^d, x^d = sum of c_i x^i
+    runs over every monic divisor of degree d once. Degree 1 is a root test."""
+    for d in range(1, (len(coeffs) - 1) // 2 + 1):
+        if d == 1:  # x - r folds x down to r
+            folds = (((0, r),) if r else () for r in range(p))
+        else:
+            lowers = itertools.product(range(p), repeat=d)
+            folds = (tuple([(i, c) for i, c in enumerate(lower) if c]) for lower in lowers)
+        for fold in folds:
+            if not any(_reduce(list(coeffs), fold, d, p)):
                 return False
     return True
 
@@ -314,13 +287,8 @@ def field_make(p: int, m: int = 1) -> FieldCtx:
         raise ScaleCapExceeded(f"field size {p}^{m} exceeds cap {SIZE_CAP}")
     if m == 1:
         return FieldCtx(p, 1, ())
-    for code in range(p**m):
-        coeffs = []
-        c = code
-        for _ in range(m):
-            coeffs.append(c % p)
-            c //= p
-        candidate = tuple(coeffs) + (1,)
+    for digits in itertools.product(range(p), repeat=m):  # code order: digits high-first
+        candidate = digits[::-1] + (1,)
         if _is_irreducible_modp(candidate, p):
             return FieldCtx(p, m, candidate)
     raise RuntimeError(f"no irreducible of degree {m} over GF({p})")  # unreachable

@@ -163,10 +163,6 @@ def insdel_distance(u: Word, v: Word) -> int:
     return len(u) + len(v) - 2 * lcs_length_raw(u.symbols, v.symbols)
 
 
-def insdel_distance_raw(a, b) -> int:
-    return len(a) + len(b) - 2 * lcs_length_raw(a, b)
-
-
 def hamming_distance(u: Word, v: Word) -> int:
     _check_alphabet(u, v)
     if len(u) != len(v):

@@ -47,6 +47,11 @@ def _run(argvs, cwd):
     return json.loads(result.stdout)
 
 
+def test_option_and_dispatch_tables_list_the_same_subcommands():
+    assert list(cli._OPTIONS) == list(cli._DISPATCH) == list(cli.COMMANDS)
+    assert len(cli.COMMANDS) == 11
+
+
 @pytest.mark.parametrize("name", cli.COMMANDS)
 def test_parser_built_once(name):
     assert cli._parser(name) is cli._parser(name)

@@ -14,7 +14,9 @@ from insdel.gf import (
     ResidueCtx,
     UnitResidue,
     _fold_pairs,
+    _is_irreducible_modp,
     _mul_fold,
+    _reduce,
     _square_fold,
     det,
     field_from_size,
@@ -27,6 +29,31 @@ from insdel.gf import (
 )
 
 SMALL_FIELDS = [field_make(2), field_make(5), field_make(2, 3), field_make(3, 2)]
+
+
+def _monic(p, d):
+    """The monic polynomials of degree d over GF(p), low-first, in code order."""
+    return [digits[::-1] + (1,) for digits in itertools.product(range(p), repeat=d)]
+
+
+def _reducible(p, m):
+    """The monic polynomials of degree m over GF(p) that factor, by a sieve:
+    every product of two monic polynomials of degrees d and m - d, by
+    schoolbook multiplication mod p."""
+    products = set()
+    for d in range(1, m // 2 + 1):
+        for f in _monic(p, d):
+            for g in _monic(p, m - d):
+                prod = [0] * (m + 1)
+                for i, x in enumerate(f):
+                    for j, y in enumerate(g):
+                        prod[i + j] = (prod[i + j] + x * y) % p
+                products.add(tuple(prod))
+    return products
+
+
+# Every GF(p^m) with m >= 2 and p^m <= 4096.
+SIEVE_FIELDS = [(p, m) for p in range(2, 65) if is_prime(p) for m in range(2, 13) if p**m <= 4096]
 
 
 def _digitwise(ctx, a, b, sign):
@@ -92,6 +119,22 @@ class TestFieldArithmetic:
         assert field_make(2, 2).modulus == (1, 1, 1)
         # x^2 + 1 (code 0,1 -> (1,0,1)) is reducible mod 5; x^2 + 2 is not.
         assert field_make(5, 2).modulus == (2, 0, 1)
+        # Past the sieve's fields: every element code of these depends on them.
+        assert field_make(2, 20).modulus == (1, 0, 0, 1) + (0,) * 16 + (1,)
+        assert field_make(3, 12).modulus == (2, 0, 1) + (0,) * 9 + (1,)
+        assert field_make(1021, 2).modulus == (2, 0, 1)
+        assert field_make(101, 3).modulus == (1, 1, 0, 1)
+
+    @pytest.mark.parametrize("p, m", SIEVE_FIELDS)
+    def test_modulus_is_least_irreducible_by_sieve(self, p, m):
+        reducible = _reducible(p, m)
+        assert field_make(p, m).modulus == next(f for f in _monic(p, m) if f not in reducible)
+
+    @pytest.mark.parametrize("p, m", [(p, m) for p in (2, 3) for m in range(2, 7)])
+    def test_irreducibility_matches_sieve(self, p, m):
+        reducible = _reducible(p, m)
+        for f in _monic(p, m):
+            assert _is_irreducible_modp(f, p) == (f not in reducible), f
 
     def test_size_cap(self):
         with pytest.raises(ScaleCapExceeded):
@@ -454,6 +497,49 @@ def fold_cases(draw):
         modulus = tuple(draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=10))) + (1,)
     vector = st.lists(st.integers(0, p - 1), min_size=len(modulus) - 1, max_size=len(modulus) - 1)
     return p, modulus, draw(vector), draw(vector)
+
+
+@st.composite
+def reduce_cases(draw):
+    """A prime p <= 31, a monic modulus over GF(p) (low-first) of degree
+    m >= 1, and a list of 0 ... 3m unreduced coefficients. The moduli:
+    ``field_make``'s GF(p^m), linear powers (x - alpha)^(delta-1),
+    delta = 2..7, and arbitrary monic ones."""
+    p = draw(st.sampled_from([p for p in range(2, 32) if is_prime(p)]))
+    kind = draw(st.sampled_from(["field", "linear", "monic"]))
+    if kind == "field":
+        m = draw(st.sampled_from([m for m in range(2, 21) if p**m <= SIZE_CAP]))
+        modulus = field_make(p, m).modulus
+    elif kind == "linear":
+        alpha, delta = draw(st.integers(0, p - 1)), draw(st.integers(2, 7))
+        modulus = ResidueCtx.linear_power(field_make(p), alpha, delta).modulus.coeffs
+    else:
+        modulus = tuple(draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=10))) + (1,)
+    m = len(modulus) - 1
+    prod = draw(st.lists(st.integers(0, 4 * p * p), max_size=3 * m))
+    return p, modulus, prod
+
+
+class TestReduce:
+    @given(reduce_cases())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_polynomial_remainder(self, case):
+        p, modulus, prod = case
+        field, m = field_make(p), len(modulus) - 1
+        rem = Polynomial(field, [c % p for c in prod]) % Polynomial(field, modulus)
+        # The remainder's coefficients, as many as prod keeps: m, or all of a shorter prod.
+        expected = (list(rem.coeffs) + [0] * m)[: min(m, len(prod))]
+        assert _reduce(list(prod), _fold_pairs(modulus, p), m, p) == expected
+
+    @pytest.mark.parametrize("m", [1, 4, 9])
+    def test_lengths_below_at_and_past_the_degree(self, m):
+        # x^m + 1 over GF(3): x^m = -1 = 2.
+        fold = _fold_pairs((1,) + (0,) * (m - 1) + (1,), 3)
+        assert _reduce([], fold, m, 3) == []
+        assert _reduce([4], fold, m, 3) == [1]
+        assert _reduce([0] * (m - 1) + [5], fold, m, 3) == [0] * (m - 1) + [2]
+        assert _reduce([0] * m + [1], fold, m, 3) == [2] + [0] * (m - 1)
+        assert _reduce([0] * (2 * m) + [1], fold, m, 3) == [1] + [0] * (m - 1)
 
 
 class TestMulFold:
