@@ -10,7 +10,7 @@ import argparse
 
 from insdel.gf import field_make, next_prime
 from insdel.rs import RsCode, low_distance_witness
-from insdel.words import lcs_length_raw
+from insdel.words import Word, insdel_distance
 
 
 def main() -> None:
@@ -23,8 +23,7 @@ def main() -> None:
         q = next_prime(n)
         code = RsCode(field_make(q), tuple(range(n)), k)
         w = low_distance_witness(code)
-        f, g = w["codeword_f"], w["codeword_g"]
-        d = len(f) + len(g) - 2 * lcs_length_raw(f, g)
+        d = insdel_distance(Word(q, w["codeword_f"]), Word(q, w["codeword_g"]))
         ceiling = 2 * n - 4 * k + 4
         assert w["lcs_lower_bound"] >= 2 * k - 2
         assert d <= ceiling

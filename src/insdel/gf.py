@@ -261,24 +261,28 @@ def _frobenius_table(fold, m: int) -> tuple[int, ...]:
 
 
 def _is_irreducible_modp(coeffs: tuple[int, ...], p: int) -> bool:
-    """Trial division by all monic polynomials of degree 1 ... deg/2, each
-    given by its fold pairs: as c runs over GF(p)^d, x^d = sum of c_i x^i
-    runs over every monic divisor of degree d once. Degree 1 is a root test."""
-    for d in range(1, (len(coeffs) - 1) // 2 + 1):
-        if d == 1:  # x - r folds x down to r
-            folds = (((0, r),) if r else () for r in range(p))
-        else:
-            lowers = itertools.product(range(p), repeat=d)
-            folds = (tuple([(i, c) for i, c in enumerate(lower) if c]) for lower in lowers)
-        for fold in folds:
-            if not any(_reduce(list(coeffs), fold, d, p)):
-                return False
+    """Ben-Or's test: x^(p^d) - x is the product of the monic irreducibles of
+    degree dividing d, so a monic f of degree m is irreducible iff it is
+    coprime to x^(p^d) - x for d = 1 ... m/2. Euclid divides by monic multiples."""
+    m, fold = len(coeffs) - 1, _fold_pairs(coeffs, p)
+    mul, sq = (lambda a, b: _mul_fold(a, b, fold, m, p)), (lambda a: _square_fold(a, fold, m, p))
+    h = [0, 1] + [0] * (m - 2)  # x^(p^d) mod f, raised to the p-th power each round
+    for _ in range(m // 2):
+        h = _square_multiply(h, p, mul, sq)
+        a, b = list(coeffs), [(c - (i == 1)) % p for i, c in enumerate(h)]
+        while any(b):
+            while not b[-1]:
+                b.pop()
+            inv = pow(b[-1], p - 2, p)
+            a, b = b, _reduce(a, _fold_pairs([c * inv for c in b], p), len(b) - 1, p)
+        if len(a) > 1:
+            return False
     return True
 
 
 @lru_cache(maxsize=None)
 def field_make(p: int, m: int = 1) -> FieldCtx:
-    """Build GF(p^m) with a deterministically chosen modulus."""
+    """Build GF(p^m) modulo the least monic irreducible of degree m in code order."""
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     if m < 1:
@@ -287,11 +291,8 @@ def field_make(p: int, m: int = 1) -> FieldCtx:
         raise ScaleCapExceeded(f"field size {p}^{m} exceeds cap {SIZE_CAP}")
     if m == 1:
         return FieldCtx(p, 1, ())
-    for digits in itertools.product(range(p), repeat=m):  # code order: digits high-first
-        candidate = digits[::-1] + (1,)
-        if _is_irreducible_modp(candidate, p):
-            return FieldCtx(p, m, candidate)
-    raise RuntimeError(f"no irreducible of degree {m} over GF({p})")  # unreachable
+    candidates = (digits[::-1] + (1,) for digits in itertools.product(range(p), repeat=m))
+    return FieldCtx(p, m, next(c for c in candidates if _is_irreducible_modp(c, p)))
 
 
 def field_from_size(q: int) -> FieldCtx:

@@ -10,7 +10,7 @@ from insdel.cw_l1 import L1ConstructionSpec, construct_l1
 from insdel.errors import DomainError
 from insdel.gf import FieldCtx
 from insdel.lift import lift
-from insdel.words import CWL1, Code, Composition, Word, lcs_length_raw
+from insdel.words import CWL1, Code, Composition, Word, insdel_distance
 
 try:
     import jsonschema
@@ -276,8 +276,7 @@ class TestCliJson:
         doc = json.loads(result.stdout)
         assert doc["lcs_lower_bound"] >= 6
         assert doc["distance_upper_bound"] == 4
-        f, g = tuple(doc["codeword_f"]), tuple(doc["codeword_g"])
-        assert len(f) + len(g) - 2 * lcs_length_raw(f, g) <= 4
+        assert insdel_distance(Word(17, doc["codeword_f"]), Word(17, doc["codeword_g"])) <= 4
         short = run_cli("witness-rs", "--q", "17", "--k", "4", "--alphas", "0,1,2,3,4,5,6")
         assert short.returncode == 1
         assert short.stdout == ""

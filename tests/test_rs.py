@@ -29,7 +29,7 @@ from insdel.rs import (
     rs_exhaustive_insdel,
     witness_steps,
 )
-from insdel.words import PackedWords, lcs_length_raw
+from insdel.words import PackedWords, Word, insdel_distance, lcs_length_raw
 
 
 class TestAffineMaps:
@@ -697,24 +697,21 @@ class TestLowDistanceWitness:
         assert w["f"] != w["g"]
         assert w["lcs_lower_bound"] >= 4
         assert w["distance_upper_bound"] == 4
-        f, g = w["codeword_f"], w["codeword_g"]
-        d = len(f) + len(g) - 2 * lcs_length_raw(f, g)
+        d = insdel_distance(Word(q, w["codeword_f"]), Word(q, w["codeword_g"]))
         assert d <= w["distance_upper_bound"]
 
     def test_k4_certificate(self):
         code = RsCode(field_make(23), tuple(range(11)), 4)
         w = low_distance_witness(code)
         assert w["lcs_lower_bound"] >= 6
-        f, g = w["codeword_f"], w["codeword_g"]
-        d = len(f) + len(g) - 2 * lcs_length_raw(f, g)
+        d = insdel_distance(Word(code.ctx.q, w["codeword_f"]), Word(code.ctx.q, w["codeword_g"]))
         assert d <= 2 * code.n - 4 * 4 + 4
 
     def test_k5_certificate(self):
         code = RsCode(field_make(53), tuple(range(17)), 5)
         w = low_distance_witness(code)
         assert w["lcs_lower_bound"] >= 8
-        f, g = w["codeword_f"], w["codeword_g"]
-        d = len(f) + len(g) - 2 * lcs_length_raw(f, g)
+        d = insdel_distance(Word(code.ctx.q, w["codeword_f"]), Word(code.ctx.q, w["codeword_g"]))
         assert d <= 2 * code.n - 4 * 5 + 4
 
     def test_short_code_rejected(self):
@@ -736,8 +733,7 @@ class TestLowDistanceWitness:
         for key in ("codeword_f", "codeword_g"):
             assert short[key] == full[key][: 2 * k]
         assert short["distance_upper_bound"] == 4
-        f, g = short["codeword_f"], short["codeword_g"]
-        assert len(f) + len(g) - 2 * lcs_length_raw(f, g) <= 4
+        assert insdel_distance(Word(101, short["codeword_f"]), Word(101, short["codeword_g"])) <= 4
         with pytest.raises(DomainError, match=f"need n >= {2 * k} for k={k}, got n={2 * k - 1}"):
             low_distance_witness(RsCode(ctx, alphas[: 2 * k - 1], k))
 
