@@ -235,12 +235,14 @@ def _insdel_graph(words: list, q: int, n: int, d: int, deadline: float | None) -
     renamed by one permutation of the symbols or both are reversed: S_q x
     reversal acts on the graph by automorphisms. LCS runs only for one
     representative r per orbit, the orbit's least word (``_orbit_rep``):
-    its row against every word, from r's match masks built once. Every
-    other word w is g(r) for some g of the group, and g preserves
-    adjacency, so bit v of row(w) is bit g^-1(v) of row(r). That row is
-    moved, not recomputed, and equals the row LCS would give. The words
-    that one g reaches share its index list. The budget is checked once
-    per row.
+    its row against every word, from r's match masks built once as a list
+    over the whole alphabet range(q). A partner may hold symbols r lacks;
+    their masks are 0, so ``lcs_length_masked`` steps over them unchanged
+    with no lookup miss and no branch. Every other word w is g(r) for
+    some g of the group, and g preserves adjacency, so bit v of row(w) is
+    bit g^-1(v) of row(r). That row is moved, not recomputed, and equals
+    the row LCS would give. The words that one g reaches share its index
+    list. The budget is checked once per row.
     """
     most = n - d // 2
     index = {w: i for i, w in enumerate(words)}
@@ -252,7 +254,8 @@ def _insdel_graph(words: list, q: int, n: int, d: int, deadline: float | None) -
         if r == i:
             if deadline is not None and time.monotonic() > deadline:
                 raise ScaleCapExceeded("adjacency build exceeded the time budget")
-            masks = match_masks(w)
+            found = match_masks(w)
+            masks = [found[s] for s in range(q)]
             bits = ["1" if lcs_length_masked(v, masks, n) <= most else "0" for v in reversed(words)]
             adj[i] = int("".join(bits), 2)
         else:

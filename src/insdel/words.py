@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import defaultdict
 from operator import ne
 
 from .errors import (
@@ -119,41 +120,52 @@ def lcs_length_raw(a, b) -> int:
     """LCS length of two plain sequences (no validation, hot path).
 
     The shorter one is masked (``match_masks``), so the bit-parallel state
-    of ``lcs_length_masked`` has min(len(a), len(b)) bits.
+    of ``lcs_length_masked`` has min(len(a), len(b)) bits. The longer one
+    may hold symbols the shorter lacks; their masks read 0.
     """
     if len(a) < len(b):
         a, b = b, a
     return lcs_length_masked(a, match_masks(b), len(b))
 
 
-def match_masks(b) -> dict:
-    """Symbol -> bit set of its positions in ``b`` (bit j for b[j])."""
-    masks: dict = {}
+def match_masks(b) -> defaultdict:
+    """Symbol -> bit set of its positions in ``b`` (bit j for b[j]).
+
+    A symbol that ``b`` lacks reads 0 (the mapping is a
+    ``defaultdict(int)``), so the masks cover every symbol a word stepped
+    against them can hold, as ``lcs_length_masked`` needs.
+    """
+    masks = defaultdict(int)
     bit = 1
     for y in b:
-        masks[y] = masks.get(y, 0) | bit
+        masks[y] |= bit
         bit <<= 1
     return masks
 
 
-def lcs_length_masked(a, masks: dict, nb: int) -> int:
-    """LCS length of ``a`` and a word b of length ``nb`` given by
-    ``match_masks(b)``, for any lengths of the two.
+def lcs_length_masked(a, masks, nb: int) -> int:
+    """LCS length of ``a`` and a word b of length ``nb`` given by its
+    match masks, for any lengths of the two.
+
+    ``masks[x]`` is the bit set of the positions of x in b, for every
+    symbol x of ``a``: ``match_masks(b)``, or a list over the alphabet
+    that holds 0 for the symbols b lacks.
 
     Bit-parallel form of the two-row dynamic program (Allison & Dix 1986;
     Hyyro 2004, "Bit-parallel LCS-length computation revisited"). Bit j of
     the big int ``v`` is 0 exactly where the DP row steps up between
     columns j and j+1 of b, so one add/and/or step per symbol of ``a``
     advances the whole row and the LCS length is the number of 0 bits
-    among the low nb bits. Carries only move upwards, so bits above nb
-    never disturb the low ones and are masked off once at the end.
+    among the low nb bits. The step has no branch: a symbol b lacks has
+    mask 0, so u = 0 and (v + 0) | (v - 0) = v leaves the row as it was,
+    which is what the DP does for a symbol that matches nowhere. Carries
+    only move upwards, so bits above nb never disturb the low ones and
+    are masked off once at the end.
     """
     low = v = (1 << nb) - 1
     for x in a:
-        m = masks.get(x)
-        if m:
-            u = v & m
-            v = (v + u) | (v - u)
+        u = v & masks[x]
+        v = (v + u) | (v - u)
     return nb - (v & low).bit_count()
 
 

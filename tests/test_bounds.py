@@ -423,6 +423,12 @@ def _graph_from(words, joined):
 ORBIT_INSTANCES = [(6, 3, 4), (8, 3, 4), (2, 9, 6)]
 
 
+def _images(w, sigma):
+    """w renamed by the symbol permutation ``sigma``, and that reversed."""
+    moved = tuple([sigma[s] for s in w])
+    return moved, moved[::-1]
+
+
 def _renames(a, b):
     """Whether one bijection of symbols takes word ``a`` to word ``b``."""
     pairs = set(zip(a, b))
@@ -439,9 +445,9 @@ def word_and_symmetry(draw):
 
 class TestInsdelGraph:
     def test_matches_edit_graph_oracle(self):
-        # Every (q, n) with q^n <= 32 and every even d, against distances
+        # Every (q, n) with q^n <= 64 and every even d, against distances
         # from the oracle, which shares no code with insdel.words.
-        for q, n in [(q, n) for q in range(2, 33) for n in range(1, 6) if q**n <= 32]:
+        for q, n in [(q, n) for q in range(2, 65) for n in range(1, 7) if q**n <= 64]:
             words = list(all_words(q, n))
             dist = {(u, v): edit_graph_distance(u, v) for u, v in itertools.combinations(words, 2)}
             symbols = [w.symbols for w in words]
@@ -455,13 +461,33 @@ class TestInsdelGraph:
         want = _graph_from(words, lambda a, b: 2 * (n - lcs_length_raw(a, b)) >= d)
         assert bounds._insdel_graph(words, q, n, d, None) == want
 
+    def test_one_kernel_call_per_representative_and_word(self, monkeypatch):
+        # The LCS kernel runs once per orbit representative and word of
+        # [q]^n: 59,028 calls over the benchmark's sweep instances.
+        calls = []
+        kernel = bounds.lcs_length_masked
+
+        def spy(*args):
+            calls.append(None)
+            return kernel(*args)
+
+        monkeypatch.setattr(bounds, "lcs_length_masked", spy)
+        want = 0
+        for q, n, d in SWEEP_INSTANCES:
+            words = list(itertools.product(range(q), repeat=n))
+            bounds._insdel_graph(words, q, n, d, None)
+            orbits = {
+                min(w2 for s in itertools.permutations(range(q)) for w2 in _images(w, s))
+                for w in words
+            }
+            want += len(orbits) * q**n
+        assert len(calls) == want == 59028
+
     @given(word_and_symmetry())
     @settings(max_examples=300, deadline=None)
     def test_orbit_rep_is_shared_and_in_the_orbit(self, case):
         w, sigma, rev = case
-        moved = tuple([sigma[s] for s in w])
-        if rev:
-            moved = moved[::-1]
+        moved = _images(w, sigma)[rev]
         rep = bounds._orbit_rep(w)[0]
         assert bounds._orbit_rep(moved)[0] == rep
         assert _renames(w, rep) or _renames(w[::-1], rep)

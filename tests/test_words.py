@@ -48,6 +48,17 @@ def word_pairs(max_q=4, max_n=8):
     )
 
 
+@st.composite
+def stepped_and_masked(draw):
+    """(q, a, b) with q <= 8 and lengths 0-24: a over all of [q], b over a
+    proper subset of it, so a holds symbols that b lacks."""
+    q = draw(st.integers(2, 8))
+    held = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=q - 1, unique=True))
+    a = draw(st.lists(st.integers(0, q - 1), max_size=24))
+    b = draw(st.lists(st.sampled_from(held), max_size=24))
+    return q, tuple(a), tuple(b)
+
+
 class TestWordBasics:
     def test_symbols_validated(self):
         with pytest.raises(DomainError):
@@ -129,9 +140,28 @@ class TestLcsAndDistance:
         assert lcs_length_masked(a, match_masks(b), len(b)) == lcs
         assert lcs_length_masked(b, match_masks(a), len(a)) == lcs
 
+    @given(stepped_and_masked())
+    @example((6, (5, 5, 4, 0), (0, 1)))
+    @example((3, (2, 1), ()))
+    @settings(max_examples=300, deadline=None)
+    def test_lcs_masked_steps_over_symbols_the_masked_word_lacks(self, case):
+        # Masks as a list over the whole alphabet, built here from b, and
+        # as match_masks(b): a symbol b lacks has mask 0, and its step
+        # must leave the row unchanged.
+        q, a, b = case
+        lcs = (len(a) + len(b) - edit_graph_distance(Word(q, a), Word(q, b))) // 2
+        alphabet = [sum(1 << j for j, y in enumerate(b) if y == s) for s in range(q)]
+        assert lcs_length_masked(a, alphabet, len(b)) == lcs
+        assert lcs_length_masked(a, match_masks(b), len(b)) == lcs
+
+    def test_lcs_raw_with_no_common_symbol(self):
+        assert lcs_length_raw((5, 5, 5), (0, 1)) == 0
+        assert lcs_length_raw((3,), ()) == 0
+
     def test_match_masks(self):
         assert match_masks((2, 0, 2, 299)) == {2: 0b101, 0: 0b10, 299: 0b1000}
         assert match_masks(()) == {}
+        assert match_masks((1,))[0] == 0
 
     def test_lcs_raw_long_words(self):
         u = Word(3, tuple(i % 3 for i in range(150)))
