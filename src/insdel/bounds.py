@@ -23,8 +23,7 @@ from .words import (
     Code,
     Word,
     code_min_distance,
-    lcs_length_masked,
-    match_masks,
+    lcs_lengths_lex,
 )
 
 CLIQUE_VERTEX_CAP = 4096
@@ -204,12 +203,13 @@ def exact_iq(q: int, n: int, d: int, max_seconds: float | None = None):
     distance >= 2, and two that differ in one position at distance 2, so
     the graph is complete exactly when d = 2: I_q(n, 2) = q^n, answered
     with every word and no search. Otherwise the adjacency is built from
-    one LCS row per orbit of symbol renaming and reversal
-    (``_insdel_graph``), and the size is proven by branching on one vertex
-    per orbit of the same group (``_insdel_symmetry``). Branch-and-bound
-    with a greedy-coloring upper bound, deterministic throughout.
-    ``max_seconds`` bounds the whole run, the adjacency build and both
-    phases of the clique search together (``ScaleCapExceeded`` past it).
+    one LCS row per orbit of symbol renaming and reversal, each one walk
+    of the prefix trie of [q]^n (``_insdel_graph``), and the size is
+    proven by branching on one vertex per orbit of the same group
+    (``_insdel_symmetry``). Branch-and-bound with a greedy-coloring upper
+    bound, deterministic throughout. ``max_seconds`` bounds the whole run,
+    the adjacency build and both phases of the clique search together
+    (``ScaleCapExceeded`` past it).
     """
     _check_even_d(q, n, d)
     # q >= 2, so q^n passes the cap once n passes its bit length; q^n is
@@ -235,10 +235,8 @@ def _insdel_graph(words: list, q: int, n: int, d: int, deadline: float | None) -
     renamed by one permutation of the symbols or both are reversed: S_q x
     reversal acts on the graph by automorphisms. LCS runs only for one
     representative r per orbit, the orbit's least word (``_orbit_rep``):
-    its row against every word, from r's match masks built once as a list
-    over the whole alphabet range(q). A partner may hold symbols r lacks;
-    their masks are 0, so ``lcs_length_masked`` steps over them unchanged
-    with no lookup miss and no branch. Every other word w is g(r) for
+    its row against every word, thresholded from one ``lcs_lengths_lex``
+    walk of the prefix trie of [q]^n. Every other word w is g(r) for
     some g of the group, and g preserves adjacency, so bit v of row(w) is
     bit g^-1(v) of row(r). That row is moved, not recomputed, and equals
     the row LCS would give. The words that one g reaches share its index
@@ -254,9 +252,7 @@ def _insdel_graph(words: list, q: int, n: int, d: int, deadline: float | None) -
         if r == i:
             if deadline is not None and time.monotonic() > deadline:
                 raise ScaleCapExceeded("adjacency build exceeded the time budget")
-            found = match_masks(w)
-            masks = [found[s] for s in range(q)]
-            bits = ["1" if lcs_length_masked(v, masks, n) <= most else "0" for v in reversed(words)]
+            bits = ["1" if lcs <= most else "0" for lcs in reversed(lcs_lengths_lex(w, q, n))]
             adj[i] = int("".join(bits), 2)
         else:
             moved.setdefault((firsts, rev), []).append((i, r))

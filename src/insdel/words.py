@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import defaultdict
 from operator import ne
 
 from .errors import (
@@ -119,54 +118,59 @@ def lcs_length(u: Word, v: Word) -> int:
 def lcs_length_raw(a, b) -> int:
     """LCS length of two plain sequences (no validation, hot path).
 
-    The shorter one is masked (``match_masks``), so the bit-parallel state
-    of ``lcs_length_masked`` has min(len(a), len(b)) bits. The longer one
-    may hold symbols the shorter lacks; their masks read 0.
+    Bit-parallel form of the two-row dynamic program (Allison & Dix 1986;
+    Hyyro 2004, "Bit-parallel LCS-length computation revisited"). The
+    shorter word b is masked (``match_masks``), so the state ``v`` has
+    len(b) bits. Bit j of ``v`` is 0 exactly where the DP row steps up
+    between columns j and j+1 of b, so one add/and/or step per symbol of
+    the longer word ``a`` advances the whole row and the LCS length is the
+    number of 0 bits among the low len(b) bits. A symbol b lacks reads
+    mask 0, so u = 0 and (v + 0) | (v - 0) = v leaves the row as it was,
+    which is what the DP does for a symbol that matches nowhere. Carries
+    only move upwards, so bits above len(b) never disturb the low ones
+    and are masked off once at the end.
     """
     if len(a) < len(b):
         a, b = b, a
-    return lcs_length_masked(a, match_masks(b), len(b))
+    get = match_masks(b).get
+    nb = len(b)
+    low = v = (1 << nb) - 1
+    for x in a:
+        u = v & get(x, 0)
+        v = (v + u) | (v - u)
+    return nb - (v & low).bit_count()
 
 
-def match_masks(b) -> defaultdict:
-    """Symbol -> bit set of its positions in ``b`` (bit j for b[j]).
-
-    A symbol that ``b`` lacks reads 0 (the mapping is a
-    ``defaultdict(int)``), so the masks cover every symbol a word stepped
-    against them can hold, as ``lcs_length_masked`` needs.
-    """
-    masks = defaultdict(int)
+def match_masks(b) -> dict:
+    """Symbol -> bit set of its positions in ``b`` (bit j for b[j]), for
+    the symbols of ``b`` only."""
+    masks: dict = {}
     bit = 1
     for y in b:
-        masks[y] |= bit
+        masks[y] = masks.get(y, 0) | bit
         bit <<= 1
     return masks
 
 
-def lcs_length_masked(a, masks, nb: int) -> int:
-    """LCS length of ``a`` and a word b of length ``nb`` given by its
-    match masks, for any lengths of the two.
+def lcs_lengths_lex(b, q: int, n: int) -> list[int]:
+    """LCS length of ``b``, a word over range(q), against every word of
+    [q]^n, in lexicographic order.
 
-    ``masks[x]`` is the bit set of the positions of x in b, for every
-    symbol x of ``a``: ``match_masks(b)``, or a list over the alphabet
-    that holds 0 for the symbols b lacks.
-
-    Bit-parallel form of the two-row dynamic program (Allison & Dix 1986;
-    Hyyro 2004, "Bit-parallel LCS-length computation revisited"). Bit j of
-    the big int ``v`` is 0 exactly where the DP row steps up between
-    columns j and j+1 of b, so one add/and/or step per symbol of ``a``
-    advances the whole row and the LCS length is the number of 0 bits
-    among the low nb bits. The step has no branch: a symbol b lacks has
-    mask 0, so u = 0 and (v + 0) | (v - 0) = v leaves the row as it was,
-    which is what the DP does for a symbol that matches nowhere. Carries
-    only move upwards, so bits above nb never disturb the low ones and
-    are masked off once at the end.
+    ``lcs_length_raw``'s step, with b masked, walked over the prefix trie
+    of [q]^n one level at a time: each prefix keeps one state, and its q
+    children step it by the masks of the symbols 0, ..., q-1 in order, so
+    level k lists the states of all prefixes of length k in lexicographic
+    order. A prefix is stepped once for all words that share it:
+    q + q^2 + ... + q^n steps instead of n * q^n.
     """
-    low = v = (1 << nb) - 1
-    for x in a:
-        u = v & masks[x]
-        v = (v + u) | (v - u)
-    return nb - (v & low).bit_count()
+    found = match_masks(b)
+    masks = [found.get(s, 0) for s in range(q)]
+    nb = len(b)
+    low = (1 << nb) - 1
+    states = [low]
+    for _ in range(n):
+        states = [(s + (u := s & m)) | (s - u) for s in states for m in masks]
+    return [nb - (s & low).bit_count() for s in states]
 
 
 def insdel_distance(u: Word, v: Word) -> int:

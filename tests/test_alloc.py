@@ -75,9 +75,11 @@ CASES = {
         ["code-distance", "--in", "{work}/lift.txt", "--json"],
     ],
     "dist": [["dist", "--q", q, "--u", u, "--v", v, "--json"] for q, u, v in _WORDS],
-    # (5, 3, 4) also prunes by orbits below the root of its proof.
+    # (5, 3, 4) also prunes by orbits below the root of its proof, and
+    # (2, 8, 6) walks the widest trie level of the benchmark (256 states).
     "exact-iq": [
         ["exact-iq", "--q", "2", "--n", "6", "--d", "4", "--json"],
+        ["exact-iq", "--q", "2", "--n", "8", "--d", "6", "--json"],
         ["exact-iq", "--q", "3", "--n", "4", "--d", "6", "--json"],
         ["exact-iq", "--q", "5", "--n", "3", "--d", "4", "--json"],
     ],

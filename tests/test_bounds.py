@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from insdel import bounds
+from insdel import words as words_module
 from insdel.bounds import (
     _iroot,
     counterexample_code,
@@ -461,17 +462,23 @@ class TestInsdelGraph:
         want = _graph_from(words, lambda a, b: 2 * (n - lcs_length_raw(a, b)) >= d)
         assert bounds._insdel_graph(words, q, n, d, None) == want
 
-    def test_one_kernel_call_per_representative_and_word(self, monkeypatch):
-        # The LCS kernel runs once per orbit representative and word of
-        # [q]^n: 59,028 calls over the benchmark's sweep instances.
-        calls = []
-        kernel = bounds.lcs_length_masked
+    def test_one_trie_walk_per_representative(self, monkeypatch):
+        # One lcs_lengths_lex walk per orbit representative, 275 over the
+        # benchmark's sweep instances (orbits counted by brute force), and
+        # no per-pair LCS kernel at all.
+        walks = []
+        walk = bounds.lcs_lengths_lex
 
         def spy(*args):
-            calls.append(None)
-            return kernel(*args)
+            walks.append(None)
+            return walk(*args)
 
-        monkeypatch.setattr(bounds, "lcs_length_masked", spy)
+        def per_pair(*args):
+            raise AssertionError("per-pair LCS kernel called")
+
+        monkeypatch.setattr(bounds, "lcs_lengths_lex", spy)
+        monkeypatch.setattr(words_module, "lcs_length_raw", per_pair)
+        monkeypatch.setattr(words_module.PackedWords, "row", per_pair)
         want = 0
         for q, n, d in SWEEP_INSTANCES:
             words = list(itertools.product(range(q), repeat=n))
@@ -480,8 +487,8 @@ class TestInsdelGraph:
                 min(w2 for s in itertools.permutations(range(q)) for w2 in _images(w, s))
                 for w in words
             }
-            want += len(orbits) * q**n
-        assert len(calls) == want == 59028
+            want += len(orbits)
+        assert len(walks) == want == 275
 
     @given(word_and_symmetry())
     @settings(max_examples=300, deadline=None)

@@ -27,8 +27,8 @@ from insdel.words import (
     insdel_distance,
     l1_distance,
     lcs_length,
-    lcs_length_masked,
     lcs_length_raw,
+    lcs_lengths_lex,
     match_masks,
     phi,
     psi,
@@ -51,12 +51,23 @@ def word_pairs(max_q=4, max_n=8):
 @st.composite
 def stepped_and_masked(draw):
     """(q, a, b) with q <= 8 and lengths 0-24: a over all of [q], b over a
-    proper subset of it, so a holds symbols that b lacks."""
+    proper subset of it and no longer than a, so b is the word
+    ``lcs_length_raw`` masks and a holds symbols that b lacks."""
     q = draw(st.integers(2, 8))
     held = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=q - 1, unique=True))
     a = draw(st.lists(st.integers(0, q - 1), max_size=24))
-    b = draw(st.lists(st.sampled_from(held), max_size=24))
+    b = draw(st.lists(st.sampled_from(held), max_size=len(a)))
     return q, tuple(a), tuple(b)
+
+
+@st.composite
+def word_against_all(draw):
+    """(q, n, b) with q <= 4, n <= 5 and b of length 0-8 over a subset of
+    range(q), often a proper one, so words of [q]^n hold symbols b lacks."""
+    q = draw(st.integers(2, 4))
+    held = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=q, unique=True))
+    b = draw(st.lists(st.sampled_from(held), max_size=8))
+    return q, draw(st.integers(0, 5)), tuple(b)
 
 
 class TestWordBasics:
@@ -131,37 +142,51 @@ class TestLcsAndDistance:
     @example((Word(300, (299, 0, 7, 299)), Word(300, (7, 299, 1, 0, 299, 299, 2))))
     @settings(max_examples=200, deadline=None)
     def test_lcs_masked_matches_edit_graph_oracle(self, pair):
-        # Both ways round, so unequal lengths put the longer word on the
-        # masked side as often as on the stepped one, which lcs_length_raw
-        # never does; an empty word takes either side.
+        # Both ways round, over alphabets up to 300: lcs_length_raw masks
+        # the shorter word whichever side it is passed on, and an empty
+        # word takes either side.
         u, v = pair
         lcs = (len(u) + len(v) - edit_graph_distance(u, v)) // 2
         a, b = u.symbols, v.symbols
-        assert lcs_length_masked(a, match_masks(b), len(b)) == lcs
-        assert lcs_length_masked(b, match_masks(a), len(a)) == lcs
+        assert lcs_length_raw(a, b) == lcs
+        assert lcs_length_raw(b, a) == lcs
 
     @given(stepped_and_masked())
     @example((6, (5, 5, 4, 0), (0, 1)))
     @example((3, (2, 1), ()))
     @settings(max_examples=300, deadline=None)
     def test_lcs_masked_steps_over_symbols_the_masked_word_lacks(self, case):
-        # Masks as a list over the whole alphabet, built here from b, and
-        # as match_masks(b): a symbol b lacks has mask 0, and its step
-        # must leave the row unchanged.
+        # b is masked, and a symbol b lacks reads mask 0: its step must
+        # leave the row unchanged.
         q, a, b = case
         lcs = (len(a) + len(b) - edit_graph_distance(Word(q, a), Word(q, b))) // 2
-        alphabet = [sum(1 << j for j, y in enumerate(b) if y == s) for s in range(q)]
-        assert lcs_length_masked(a, alphabet, len(b)) == lcs
-        assert lcs_length_masked(a, match_masks(b), len(b)) == lcs
+        assert lcs_length_raw(a, b) == lcs
 
     def test_lcs_raw_with_no_common_symbol(self):
         assert lcs_length_raw((5, 5, 5), (0, 1)) == 0
         assert lcs_length_raw((3,), ()) == 0
 
     def test_match_masks(self):
+        # A plain dict keyed by the symbols of b and no others.
         assert match_masks((2, 0, 2, 299)) == {2: 0b101, 0: 0b10, 299: 0b1000}
         assert match_masks(()) == {}
-        assert match_masks((1,))[0] == 0
+        assert type(match_masks((1,))) is dict
+
+    @given(word_against_all())
+    @example((2, 0, ()))
+    @example((3, 2, ()))
+    @example((4, 5, (3, 3, 0, 3)))
+    @example((4, 3, (1, 2, 1, 2, 1, 2, 1, 2)))
+    @settings(max_examples=60, deadline=None)
+    def test_lcs_lengths_lex_matches_edit_graph_oracle(self, case):
+        # Every word of [q]^n, in lexicographic order, against the oracle,
+        # which shares no code with insdel.words.
+        q, n, b = case
+        want = [
+            (len(b) + n - edit_graph_distance(Word(q, b), Word(q, w))) // 2
+            for w in itertools.product(range(q), repeat=n)
+        ]
+        assert lcs_lengths_lex(b, q, n) == want
 
     def test_lcs_raw_long_words(self):
         u = Word(3, tuple(i % 3 for i in range(150)))
