@@ -139,9 +139,8 @@ def _int_list(text: str) -> tuple[int, ...]:
 def _cmd_dist(a):
     d = insdel_distance(Word(a.q, a.u), Word(a.q, a.v))
     if a.json:
-        _emit({"command": "dist", "q": a.q, "u": list(a.u), "v": list(a.v), "distance": d}, True)
-    else:
-        print(d)
+        return {"q": a.q, "u": list(a.u), "v": list(a.v), "distance": d}
+    print(d)
     return 0
 
 
@@ -154,23 +153,15 @@ def _cmd_code_distance(a):
     if refusal:
         raise ScaleCapExceeded(refusal)
     d, witness = code_min_distance(code, metric)
-    wit = [
-        list(w.counts) if code.kind == CWL1 else list(w.symbols) for w in witness
-    ]
-    _emit(
-        {
-            "command": "code-distance",
-            "kind": code.kind,
-            "q": code.q,
-            "n": code.n,
-            "size": len(code),
-            "metric": metric,
-            "min_distance": d,
-            "witness": wit,
-        },
-        a.json,
-    )
-    return 0
+    return {
+        "kind": code.kind,
+        "q": code.q,
+        "n": code.n,
+        "size": len(code),
+        "metric": metric,
+        "min_distance": d,
+        "witness": [list(w.counts) if code.kind == CWL1 else list(w.symbols) for w in witness],
+    }
 
 
 def _cmd_construct_l1(a):
@@ -178,9 +169,7 @@ def _cmd_construct_l1(a):
     code, report = construct_l1(spec)
     if a.out:
         codefile.dump(code, a.out)
-    report = {"command": "construct-l1", **report}
-    _emit(report, a.json)
-    return 0
+    return report
 
 
 def _cmd_lift(a):
@@ -191,25 +180,13 @@ def _cmd_lift(a):
             raise DomainError(f"--verify needs a code of at least two members, got {len(lifted)}")
         raise ScaleCapExceeded(verification_refusal(report["pairs"], lifted.n, pair_cap()))
     codefile.dump(lifted, a.out)
-    report = {"command": "lift", "q": lifted.q, "n": lifted.n, **report}
-    _emit(report, a.json)
-    return 0
+    return {"q": lifted.q, "n": lifted.n, **report}
 
 
 def _cmd_construct_rs2(a):
     ctx = field_from_size(a.q) if a.q else None
     code = construct_rs2(a.n, ctx)
-    _emit(
-        {
-            "command": "construct-rs2",
-            "n": code.n,
-            "q": code.ctx.q,
-            "threshold": rs2_field_threshold(a.n),
-            "alphas": list(code.alphas),
-        },
-        a.json,
-    )
-    return 0
+    return {"n": code.n, "q": code.ctx.q, "threshold": rs2_field_threshold(a.n), "alphas": list(code.alphas)}
 
 
 def _cmd_verify_rs2(a):
@@ -219,13 +196,7 @@ def _cmd_verify_rs2(a):
     if a.exhaustive and a.n >= 3:  # n < 3 is the criterion's own exit-1 refusal
         check_sweep_cap(code)
     ok, witness = check_rs2_criterion(code)
-    report = {
-        "command": "verify-rs2",
-        "q": a.q,
-        "n": a.n,
-        "criterion_holds": ok,
-        "target_distance": 2 * a.n - 4,
-    }
+    report = {"q": a.q, "n": a.n, "criterion_holds": ok, "target_distance": 2 * a.n - 4}
     if witness is not None:
         i, j, sigma = witness
         report["witness_i"] = [x + 1 for x in i]
@@ -235,77 +206,54 @@ def _cmd_verify_rs2(a):
         d, pair = rs_exhaustive_insdel(code)
         report["exhaustive_min_insdel"] = d
         report["agrees"] = ok == (d == 2 * a.n - 4)
-    _emit(report, a.json)
-    return 0
+    return report
 
 
 def _cmd_witness_rs(a):
     code = RsCode(field_from_size(a.q), a.alphas, a.k)
     w = low_distance_witness(code, a.k)
-    _emit(
-        {
-            "command": "witness-rs",
-            "q": a.q,
-            "n": code.n,
-            "k": a.k,
-            "f": list(w["f"]),
-            "g": list(w["g"]),
-            "i": [x + 1 for x in w["i"]],
-            "j": [x + 1 for x in w["j"]],
-            "lcs_lower_bound": w["lcs_lower_bound"],
-            "distance_upper_bound": w["distance_upper_bound"],
-            "codeword_f": list(w["codeword_f"]),
-            "codeword_g": list(w["codeword_g"]),
-        },
-        a.json,
-    )
-    return 0
+    return {
+        "q": a.q,
+        "n": code.n,
+        "k": a.k,
+        "f": list(w["f"]),
+        "g": list(w["g"]),
+        "i": [x + 1 for x in w["i"]],
+        "j": [x + 1 for x in w["j"]],
+        "lcs_lower_bound": w["lcs_lower_bound"],
+        "distance_upper_bound": w["distance_upper_bound"],
+        "codeword_f": list(w["codeword_f"]),
+        "codeword_g": list(w["codeword_g"]),
+    }
 
 
 def _cmd_exact_iq(a):
     size, code = exact_iq(a.q, a.n, a.d, a.max_seconds)
     if a.out:
         codefile.dump(code, a.out)
-    _emit(
-        {
-            "command": "exact-iq",
-            "q": a.q,
-            "n": a.n,
-            "d": a.d,
-            "size": size,
-            "witness": [list(w.symbols) for w in code.members],
-        },
-        a.json,
-    )
-    return 0
+    return {"q": a.q, "n": a.n, "d": a.d, "size": size, "witness": [list(w.symbols) for w in code.members]}
 
 
 def _cmd_bounds(a):
     upper, clause = size_upper_bound(a.q, a.n, a.d)
     lower = levenshtein_lower_bound(a.q, a.n, a.d)
-    _emit(
-        {
-            "command": "bounds",
-            "q": a.q,
-            "n": a.n,
-            "d": a.d,
-            "singleton": singleton_bound(a.q, a.n, a.d),
-            "upper_bound": upper,
-            "upper_bound_clause": clause,
-            "levenshtein_lower": lower,
-            "levenshtein_lower_floor": lower.numerator // lower.denominator,
-        },
-        a.json,
-    )
-    return 0
+    return {
+        "q": a.q,
+        "n": a.n,
+        "d": a.d,
+        "singleton": singleton_bound(a.q, a.n, a.d),
+        "upper_bound": upper,
+        "upper_bound_clause": clause,
+        "levenshtein_lower": lower,
+        "levenshtein_lower_floor": lower.numerator // lower.denominator,
+    }
 
 
 def _cmd_counterexample(a):
     code, report = counterexample_code(a.q, a.n)
     if a.out:
         codefile.dump(code, a.out)
-    _emit({"command": "counterexample", **report}, a.json)
-    return 0
+    return report
 
 
 def _cmd_selftest(a):
@@ -342,6 +290,8 @@ def _cmd_selftest(a):
 
 # Each subcommand's options, declared once: every parser takes --json and
 # --threads first, then its own options in the order --help lists them.
+# This is the registry of subcommands, in their order; <name> runs the
+# handler _cmd_<name>, "-" read as "_" (``_DISPATCH``).
 _SHARED = {
     "--json": {"action": "store_true", "help": "emit one JSON document"},
     "--threads": {
@@ -477,19 +427,7 @@ def _parse(command: str, argv):
     return types.SimpleNamespace(**values)
 
 
-_DISPATCH = {
-    "dist": _cmd_dist,
-    "code-distance": _cmd_code_distance,
-    "construct-l1": _cmd_construct_l1,
-    "lift": _cmd_lift,
-    "construct-rs2": _cmd_construct_rs2,
-    "verify-rs2": _cmd_verify_rs2,
-    "witness-rs": _cmd_witness_rs,
-    "exact-iq": _cmd_exact_iq,
-    "bounds": _cmd_bounds,
-    "counterexample": _cmd_counterexample,
-    "selftest": _cmd_selftest,
-}
+_DISPATCH = {name: globals()["_cmd_" + name.replace("-", "_")] for name in _OPTIONS}
 COMMANDS = tuple(_DISPATCH)
 USAGE = "usage: insdel {" + ",".join(COMMANDS) + "} [options]\n"
 
@@ -515,6 +453,13 @@ def _handler(command: str):
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; return its exit code.
+
+    The handler ``_cmd_<name>`` of a subcommand declared in ``_OPTIONS``
+    either returns its report, a dict that ``main`` writes after a
+    leading ``command`` key (exit 0), or prints its own output and
+    returns its exit code (``dist`` in text mode, ``selftest``).
+    """
     argv = list(sys.argv[1:] if argv is None else argv)
     if not argv or argv[0] in ("-h", "--help"):
         sys.stdout.write(USAGE)
@@ -525,7 +470,11 @@ def main(argv=None) -> int:
         return 64
     try:
         args = _parse(command, rest) or _parser(command).parse_args(rest)
-        return _handler(command)(args)
+        report = _handler(command)(args)
+        if isinstance(report, int):
+            return report
+        _emit({"command": command, **report}, args.json)
+        return 0
     except SystemExit as exc:  # argparse exits after printing -h/--help; error() raises DomainError
         return exc.code
     except ScaleCapExceeded as exc:

@@ -70,6 +70,8 @@ class L1ConstructionSpec(Value):
             raise DomainError(f"need n >= delta, got n={n}, delta={delta}")
         if q > SIZE_CAP:
             raise ScaleCapExceeded(f"q = {q} needs a field of size r >= q, past the cap {SIZE_CAP}")
+        if r > SIZE_CAP:  # before is_prime, whose time grows with the digits of r
+            raise ScaleCapExceeded(f"r exceeds the field size cap {SIZE_CAP}")
         if irreducible_modulus is not None:
             if delta < 3:
                 raise DomainError("an irreducible modulus needs delta >= 3")
@@ -205,7 +207,9 @@ def construct_l1(spec: L1ConstructionSpec) -> tuple[Code, dict]:
     count; then a composition costs one ring product per set bit of its
     reduced counts, less one, and no squares. Each product takes about
     (delta-1)^2 steps, and the compositions times (delta-1)^2 must fit
-    ENUMERATION_CAP, which bounds the squares table's work as well.
+    ENUMERATION_CAP, which bounds the squares table's work as well. Each
+    composition is also built as a q-tuple, so the compositions times q
+    must fit it too.
     """
     cap = pair_cap()
     count = _composition_count(spec.n, spec.q, ENUMERATION_CAP)
@@ -219,6 +223,11 @@ def construct_l1(spec: L1ConstructionSpec) -> tuple[Code, dict]:
         raise ScaleCapExceeded(
             f"{count} compositions times (delta-1)^2 = {steps} ring steps for"
             f" delta={spec.delta} exceed the enumeration cap {ENUMERATION_CAP}"
+        )
+    if count * spec.q > ENUMERATION_CAP:
+        raise ScaleCapExceeded(
+            f"{count} compositions times q={spec.q} counts for n={spec.n}"
+            f" exceed the enumeration cap {ENUMERATION_CAP}"
         )
     rctx = spec.residue_ctx()
     unit_of = _unit_map(spec, rctx, min(spec.n, spec.unit_count() - 1))

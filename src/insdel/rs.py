@@ -14,7 +14,7 @@ import math
 from operator import getitem
 
 from .errors import DomainError, ScaleCapExceeded
-from .gf import FieldCtx, Matrix, Polynomial, det, field_make, next_prime, nullspace
+from .gf import SIZE_CAP, FieldCtx, Matrix, Polynomial, det, field_make, next_prime, nullspace
 from .value import Value, _set
 from .words import closest_pair, lcs_length_raw
 
@@ -323,6 +323,8 @@ def construct_rs2(n: int, ctx: FieldCtx | None = None) -> RsCode:
     """
     threshold = rs2_field_threshold(n)
     if ctx is None:
+        if threshold >= SIZE_CAP:  # before next_prime, which would search past the cap
+            raise ScaleCapExceeded(f"n={n} needs a field larger than the size cap {SIZE_CAP}")
         ctx = field_make(next_prime(threshold))
     if ctx.q <= threshold:
         raise DomainError(

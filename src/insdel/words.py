@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from operator import ne
+from operator import ne, sub
 
 from .errors import (
     AlphabetMismatch,
@@ -415,18 +415,13 @@ def all_words(q: int, n: int):
 def compositions_colex(n: int, q: int):
     """All compositions of n into q bins, colexicographic order.
 
-    Colex compares the reversed count tuples. The enumeration is a
-    recursive generator on the last bin; each of its q - 1 levels builds a
-    new tuple for every composition it passes up.
+    Colex compares the reversed count tuples, which is lex order of the
+    suffix sums t = (c_q, c_q + c_(q-1), ..., c_q + ... + c_2): the
+    nondecreasing (q-1)-tuples over [0, n], in the order
+    ``combinations_with_replacement`` yields them. Each composition costs
+    O(q) and the enumeration holds no stack.
     """
-    for c in _compositions_colex_raw(n, q):
-        yield Composition(q, c)
-
-
-def _compositions_colex_raw(n: int, q: int):
-    if q == 1:
-        yield (n,)
-        return
-    for last in range(n + 1):
-        for rest in _compositions_colex_raw(n - last, q - 1):
-            yield rest + (last,)
+    for t in itertools.combinations_with_replacement(range(n + 1), q - 1):
+        counts = [*map(sub, (*t, n), (0, *t))]  # c_q, ..., c_1
+        counts.reverse()
+        yield Composition(q, tuple(counts))

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -196,6 +197,25 @@ class TestCliExitCodes:
         assert result.stderr.count("\n") == 1
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("construct-rs2", "--n", str(10**200)), f"n={10**200} needs a field larger than the size cap 1048576"),
+            # 4000 digits and no factor below 41: Miller-Rabin takes seconds on it.
+            (
+                ("construct-l1", "--q", "3", "--n", "2", "--delta", "2", "--r", str(10**3999 + 3)),
+                "r exceeds the field size cap 1048576",
+            ),
+        ],
+        ids=["construct-rs2-huge-n", "construct-l1-huge-r"],
+    )
+    def test_field_past_the_size_cap_is_refused_at_once(self, args, message):
+        start = time.monotonic()
+        result = run_cli(*args)
+        assert time.monotonic() - start < 1
+        assert result.returncode == 2
+        assert (result.stdout, result.stderr) == ("", f"insdel {args[0]}: scale cap: {message}\n")
+
     def test_unknown_subcommand_is_64(self):
         result = run_cli("frobnicate")
         assert result.returncode == 64
@@ -208,12 +228,14 @@ class TestCliExitCodes:
 
 
 class TestCliJson:
-    def all_json_outputs(self, tmp_path):
-        source = tmp_path / "l1.txt"
-        outputs = []
+    def all_outputs(self, tmp_path, *fmt):
+        """(subcommand, stdout) of one run of each of the eleven subcommands."""
+        source, lifted = str(tmp_path / "l1.txt"), str(tmp_path / "w.txt")
         commands = [
             ("dist", "--q", "2", "--u", "0,1", "--v", "1,0"),
-            ("construct-l1", "--q", "2", "--n", "3", "--delta", "2", "--out", str(source)),
+            ("construct-l1", "--q", "2", "--n", "3", "--delta", "2", "--out", source),
+            ("lift", "--in", source, "--out", lifted),
+            ("code-distance", "--in", lifted),
             ("bounds", "--q", "2", "--n", "3", "--d", "4"),
             ("exact-iq", "--q", "2", "--n", "3", "--d", "4"),
             ("counterexample", "--q", "4", "--n", "3"),
@@ -222,24 +244,33 @@ class TestCliJson:
             ("witness-rs", "--q", "7", "--k", "3", "--alphas", "0,1,2,3,4,5"),
             ("selftest",),
         ]
+        outputs = []
         for cmd in commands:
-            result = run_cli(*cmd, "--json")
+            result = run_cli(*cmd, *fmt)
             assert result.returncode == 0, (cmd, result.stderr)
-            outputs.append(json.loads(result.stdout))
-        result = run_cli("lift", "--in", str(source), "--out", str(tmp_path / "w.txt"), "--json")
-        assert result.returncode == 0
-        outputs.append(json.loads(result.stdout))
+            outputs.append((cmd[0], result.stdout))
+        assert sorted(name for name, _ in outputs) == sorted(cli.COMMANDS)
         return outputs
 
+    def all_json_outputs(self, tmp_path):
+        return [(name, json.loads(out)) for name, out in self.all_outputs(tmp_path, "--json")]
+
     def test_single_document_per_command(self, tmp_path):
-        for doc in self.all_json_outputs(tmp_path):
+        for name, doc in self.all_json_outputs(tmp_path):
             assert isinstance(doc, dict)
-            assert "command" in doc
+            assert doc["command"] == name
+
+    def test_text_report_opens_with_its_command(self, tmp_path):
+        for name, out in self.all_outputs(tmp_path):
+            if name == "dist":
+                assert out == "2\n"
+            elif name != "selftest":  # selftest prints one PASS/FAIL line a check
+                assert out.splitlines()[0] == f"command={name}"
 
     @pytest.mark.skipif(jsonschema is None, reason="jsonschema not installed")
     def test_documents_validate_against_schema(self, tmp_path):
         schema = json.loads(SCHEMA_PATH.read_text())
-        for doc in self.all_json_outputs(tmp_path):
+        for _, doc in self.all_json_outputs(tmp_path):
             jsonschema.validate(doc, schema)
 
     def test_construct_l1_report_fields(self):

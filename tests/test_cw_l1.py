@@ -190,6 +190,21 @@ class TestConstruction:
         with pytest.raises(ScaleCapExceeded, match="6 compositions times"):
             construct_l1(spec)
 
+    def test_composition_width_cap_boundary(self, monkeypatch):
+        # q=3, n=2: 6 compositions times q = 18 counts, and 6 ring steps.
+        spec = L1ConstructionSpec(q=3, n=2, delta=2)
+        monkeypatch.setattr(cw_l1, "ENUMERATION_CAP", 18)
+        assert construct_l1(spec)[1]["size"] >= 1
+        monkeypatch.setattr(cw_l1, "ENUMERATION_CAP", 17)
+        with pytest.raises(ScaleCapExceeded, match="6 compositions times q=3 counts for n=2"):
+            construct_l1(spec)
+
+    def test_composition_width_cap_before_bucketing(self, monkeypatch):
+        monkeypatch.setattr(cw_l1, "_unit_map", None)
+        # 9997156 compositions of 4471 bins pass the count cap alone.
+        with pytest.raises(ScaleCapExceeded, match="q=4471"):
+            construct_l1(L1ConstructionSpec(q=4471, n=2, delta=2))
+
     def test_deterministic(self):
         spec = L1ConstructionSpec(q=3, n=5, delta=2)
         first, r1 = construct_l1(spec)

@@ -269,6 +269,24 @@ class TestCountMaps:
         assert len(comps) == 10
         assert len(set(comps)) == 10
 
+    @given(st.integers(1, 8), st.integers(0, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_colex_enumeration_matches_recursion_on_the_last_bin(self, q, n):
+        def recursive(n, q):
+            if q == 1:
+                yield (n,)
+                return
+            for last in range(n + 1):
+                for rest in recursive(n - last, q - 1):
+                    yield rest + (last,)
+
+        assert [c.counts for c in compositions_colex(n, q)] == list(recursive(n, q))
+
+    def test_colex_enumeration_of_many_bins(self):
+        # One bin per level of a recursion would pass the interpreter's limit.
+        units = [(0,) * i + (1,) + (0,) * (1999 - i) for i in range(2000)]
+        assert [c.counts for c in compositions_colex(1, 2000)] == units
+
 
 class TestCode:
     def test_rejects_duplicates(self):
