@@ -21,9 +21,9 @@ from .lift import pair_cap, verification_refusal
 from .words import (
     INSDEL,
     Code,
+    PackedWords,
     Word,
     code_min_distance,
-    lcs_lengths_lex,
 )
 
 CLIQUE_VERTEX_CAP = 4096
@@ -203,13 +203,14 @@ def exact_iq(q: int, n: int, d: int, max_seconds: float | None = None):
     distance >= 2, and two that differ in one position at distance 2, so
     the graph is complete exactly when d = 2: I_q(n, 2) = q^n, answered
     with every word and no search. Otherwise the adjacency is built from
-    one LCS row per orbit of symbol renaming and reversal, each one walk
-    of the prefix trie of [q]^n (``_insdel_graph``), and the size is
-    proven by branching on one vertex per orbit of the same group
-    (``_insdel_symmetry``). Branch-and-bound with a greedy-coloring upper
-    bound, deterministic throughout. ``max_seconds`` bounds the whole run,
-    the adjacency build and both phases of the clique search together
-    (``ScaleCapExceeded`` past it).
+    one LCS row per orbit of symbol renaming and reversal, each one
+    ``PackedWords.row`` of the packed kernel against all of [q]^n
+    (``_insdel_graph``), and the size is proven by branching on one
+    vertex per orbit of the same group (``_insdel_symmetry``).
+    Branch-and-bound with a greedy-coloring upper bound, deterministic
+    throughout. ``max_seconds`` bounds the whole run, the adjacency build
+    and both phases of the clique search together (``ScaleCapExceeded``
+    past it).
     """
     _check_even_d(q, n, d)
     # q >= 2, so q^n passes the cap once n passes its bit length; q^n is
@@ -235,14 +236,18 @@ def _insdel_graph(words: list, q: int, n: int, d: int, deadline: float | None) -
     renamed by one permutation of the symbols or both are reversed: S_q x
     reversal acts on the graph by automorphisms. LCS runs only for one
     representative r per orbit, the orbit's least word (``_orbit_rep``):
-    its row against every word, thresholded from one ``lcs_lengths_lex``
-    walk of the prefix trie of [q]^n. Every other word w is g(r) for
-    some g of the group, and g preserves adjacency, so bit v of row(w) is
-    bit g^-1(v) of row(r). That row is moved, not recomputed, and equals
-    the row LCS would give. The words that one g reaches share its index
-    list. The budget is checked once per row.
+    its row against every word is one ``PackedWords.row`` over all of
+    [q]^n, packed once per call. The vertex cap keeps n <= 12 < 256, so
+    the row is bytes of n - LCS counts, which one ``bytes.translate``
+    table thresholds in C into b"1" where the count is >= d // 2 and b"0"
+    elsewhere; reversed, that is the row's bitset in binary. Every other
+    word w is g(r) for some g of the group, and g preserves adjacency, so
+    bit v of row(w) is bit g^-1(v) of row(r). That row is moved, not
+    recomputed, and equals the row LCS would give. The words that one g
+    reaches share its index list. The budget is checked once per row.
     """
-    most = n - d // 2
+    edge = bytes(b"01"[c >= d // 2] for c in range(256))
+    pack = PackedWords(words, n)
     index = {w: i for i, w in enumerate(words)}
     adj = [0] * len(words)
     moved: dict = {}
@@ -252,8 +257,7 @@ def _insdel_graph(words: list, q: int, n: int, d: int, deadline: float | None) -
         if r == i:
             if deadline is not None and time.monotonic() > deadline:
                 raise ScaleCapExceeded("adjacency build exceeded the time budget")
-            bits = ["1" if lcs <= most else "0" for lcs in reversed(lcs_lengths_lex(w, q, n))]
-            adj[i] = int("".join(bits), 2)
+            adj[i] = int(pack.row(w).translate(edge)[::-1], 2)
         else:
             moved.setdefault((firsts, rev), []).append((i, r))
     # Index lists are sliced and gathered from ints in C rather than

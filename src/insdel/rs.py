@@ -327,9 +327,13 @@ def construct_rs2(n: int, ctx: FieldCtx | None = None) -> RsCode:
             raise ScaleCapExceeded(f"n={n} needs a field larger than the size cap {SIZE_CAP}")
         ctx = field_make(next_prime(threshold))
     if ctx.q <= threshold:
-        raise DomainError(
-            f"field size {ctx.q} does not exceed the threshold {threshold} for n={n}"
-        )
+        # A threshold at or past the size cap has about four digits per
+        # digit of n, which may pass the int-to-str limit: it is not shown.
+        if threshold >= SIZE_CAP:
+            bound = f"for n={n}, which passes the size cap {SIZE_CAP}"
+        else:
+            bound = f"{threshold} for n={n}"
+        raise DomainError(f"field size {ctx.q} does not exceed the threshold {bound}")
     steps = construct_rs2_steps(n, ctx)
     if steps > CONSTRUCT_STEP_CAP:
         raise ScaleCapExceeded(f"n={n} over {ctx} takes {steps} weighted steps, past the cap {CONSTRUCT_STEP_CAP}")

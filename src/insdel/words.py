@@ -128,7 +128,9 @@ def lcs_length_raw(a, b) -> int:
     mask 0, so u = 0 and (v + 0) | (v - 0) = v leaves the row as it was,
     which is what the DP does for a symbol that matches nowhere. Carries
     only move upwards, so bits above len(b) never disturb the low ones
-    and are masked off once at the end.
+    and are masked off once at the end. This is the one single-pair path;
+    a word against many (code distance, the RS sweep, ``exact_iq``'s
+    adjacency rows) runs the same step on packed lanes, ``PackedWords.row``.
     """
     if len(a) < len(b):
         a, b = b, a
@@ -143,34 +145,14 @@ def lcs_length_raw(a, b) -> int:
 
 def match_masks(b) -> dict:
     """Symbol -> bit set of its positions in ``b`` (bit j for b[j]), for
-    the symbols of ``b`` only."""
+    the symbols of ``b`` only: ``lcs_length_raw``'s masks of its shorter
+    word."""
     masks: dict = {}
     bit = 1
     for y in b:
         masks[y] = masks.get(y, 0) | bit
         bit <<= 1
     return masks
-
-
-def lcs_lengths_lex(b, q: int, n: int) -> list[int]:
-    """LCS length of ``b``, a word over range(q), against every word of
-    [q]^n, in lexicographic order.
-
-    ``lcs_length_raw``'s step, with b masked, walked over the prefix trie
-    of [q]^n one level at a time: each prefix keeps one state, and its q
-    children step it by the masks of the symbols 0, ..., q-1 in order, so
-    level k lists the states of all prefixes of length k in lexicographic
-    order. A prefix is stepped once for all words that share it:
-    q + q^2 + ... + q^n steps instead of n * q^n.
-    """
-    found = match_masks(b)
-    masks = [found.get(s, 0) for s in range(q)]
-    nb = len(b)
-    low = (1 << nb) - 1
-    states = [low]
-    for _ in range(n):
-        states = [(s + (u := s & m)) | (s - u) for s in states for m in masks]
-    return [nb - (s & low).bit_count() for s in states]
 
 
 def insdel_distance(u: Word, v: Word) -> int:

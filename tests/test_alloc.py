@@ -76,7 +76,7 @@ CASES = {
     ],
     "dist": [["dist", "--q", q, "--u", u, "--v", v, "--json"] for q, u, v in _WORDS],
     # (5, 3, 4) also prunes by orbits below the root of its proof, and
-    # (2, 8, 6) walks the widest trie level of the benchmark (256 states).
+    # (2, 8, 6) packs 256 words per row, as many as any benchmark instance.
     "exact-iq": [
         ["exact-iq", "--q", "2", "--n", "6", "--d", "4", "--json"],
         ["exact-iq", "--q", "2", "--n", "8", "--d", "6", "--json"],

@@ -462,23 +462,22 @@ class TestInsdelGraph:
         want = _graph_from(words, lambda a, b: 2 * (n - lcs_length_raw(a, b)) >= d)
         assert bounds._insdel_graph(words, q, n, d, None) == want
 
-    def test_one_trie_walk_per_representative(self, monkeypatch):
-        # One lcs_lengths_lex walk per orbit representative, 275 over the
+    def test_one_packed_row_per_representative(self, monkeypatch):
+        # One PackedWords.row per orbit representative, 275 over the
         # benchmark's sweep instances (orbits counted by brute force), and
         # no per-pair LCS kernel at all.
-        walks = []
-        walk = bounds.lcs_lengths_lex
+        rows = []
+        row = words_module.PackedWords.row
 
         def spy(*args):
-            walks.append(None)
-            return walk(*args)
+            rows.append(None)
+            return row(*args)
 
         def per_pair(*args):
             raise AssertionError("per-pair LCS kernel called")
 
-        monkeypatch.setattr(bounds, "lcs_lengths_lex", spy)
+        monkeypatch.setattr(words_module.PackedWords, "row", spy)
         monkeypatch.setattr(words_module, "lcs_length_raw", per_pair)
-        monkeypatch.setattr(words_module.PackedWords, "row", per_pair)
         want = 0
         for q, n, d in SWEEP_INSTANCES:
             words = list(itertools.product(range(q), repeat=n))
@@ -488,7 +487,7 @@ class TestInsdelGraph:
                 for w in words
             }
             want += len(orbits)
-        assert len(walks) == want == 275
+        assert len(rows) == want == 275
 
     @given(word_and_symmetry())
     @settings(max_examples=300, deadline=None)

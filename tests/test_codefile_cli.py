@@ -216,6 +216,19 @@ class TestCliExitCodes:
         assert result.returncode == 2
         assert (result.stdout, result.stderr) == ("", f"insdel {args[0]}: scale cap: {message}\n")
 
+    def test_given_field_below_a_huge_threshold_is_one_line(self):
+        # The threshold for n = 10^1000 has about 4000 digits; the message
+        # names the size cap instead, and the exit code stays 1.
+        start = time.monotonic()
+        result = run_cli("construct-rs2", "--q", "7", "--n", str(10**1000))
+        assert time.monotonic() - start < 1
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"insdel construct-rs2: field size 7 does not exceed the threshold for n={10**1000}, "
+            "which passes the size cap 1048576\n"
+        )
+
     def test_unknown_subcommand_is_64(self):
         result = run_cli("frobnicate")
         assert result.returncode == 64

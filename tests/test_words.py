@@ -28,7 +28,6 @@ from insdel.words import (
     l1_distance,
     lcs_length,
     lcs_length_raw,
-    lcs_lengths_lex,
     match_masks,
     phi,
     psi,
@@ -178,15 +177,14 @@ class TestLcsAndDistance:
     @example((4, 5, (3, 3, 0, 3)))
     @example((4, 3, (1, 2, 1, 2, 1, 2, 1, 2)))
     @settings(max_examples=60, deadline=None)
-    def test_lcs_lengths_lex_matches_edit_graph_oracle(self, case):
-        # Every word of [q]^n, in lexicographic order, against the oracle,
-        # which shares no code with insdel.words.
+    def test_packed_row_over_all_words_matches_edit_graph_oracle(self, case):
+        # One row of b against every word of [q]^n, packed in lexicographic
+        # order as exact_iq packs them, against the oracle, which shares no
+        # code with insdel.words. At n = 0 the one packed word is empty.
         q, n, b = case
-        want = [
-            (len(b) + n - edit_graph_distance(Word(q, b), Word(q, w))) // 2
-            for w in itertools.product(range(q), repeat=n)
-        ]
-        assert lcs_lengths_lex(b, q, n) == want
+        words = list(itertools.product(range(q), repeat=n))
+        want = [(len(b) + n - edit_graph_distance(Word(q, b), Word(q, w))) // 2 for w in words]
+        assert [n - c for c in PackedWords(words, n).row(b)] == want
 
     def test_lcs_raw_long_words(self):
         u = Word(3, tuple(i % 3 for i in range(150)))
